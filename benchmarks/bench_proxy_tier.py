@@ -225,7 +225,7 @@ async def run_experiment(clients: int, requests: int, seed: int) -> dict:
                 "requests": proxy.stats.requests,
                 "upstream_requests": proxy.stats.upstream_requests,
                 "upstream_wire_bytes": proxy.stats.upstream_wire_bytes,
-                "downstream_wire_bytes": proxy.stats.downstream_wire_bytes,
+                "downstream_wire_bytes": proxy.serve_stats.bytes_out,
                 "upstream_body_bytes": proxy.stats.upstream_bytes,
                 "downstream_body_bytes": proxy.stats.downstream_bytes,
                 "cache_hits": cache.hits,

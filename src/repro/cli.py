@@ -64,6 +64,30 @@ def _install_signal_handlers(loop: asyncio.AbstractEventLoop, handlers) -> None:
             pass  # not the main thread: no signal-driven shutdown here
 
 
+async def _serve_until_stopped(server, max_requests: int | None) -> None:
+    """Serve until SIGINT/SIGTERM, or until ``--max-requests`` were handled.
+
+    ``server`` is a live tier (``serve_forever()`` and ``stats.requests``);
+    the caller's ``async with`` exit runs the graceful drain afterwards.
+    """
+    stop = asyncio.Event()
+    _install_signal_handlers(
+        asyncio.get_running_loop(),
+        {signal.SIGINT: stop.set, signal.SIGTERM: stop.set},
+    )
+    serving = asyncio.ensure_future(server.serve_forever())
+    try:
+        while not stop.is_set():
+            if max_requests is not None and server.stats.requests >= max_requests:
+                break
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(stop.wait(), 0.2)
+    finally:
+        serving.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await serving
+
+
 def _build_site(args: argparse.Namespace) -> SyntheticSite:
     return SyntheticSite(
         SiteSpec(
@@ -274,12 +298,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 )
             if fault_plan is not None:
                 print(f"fault injection: {fault_plan.describe()}", flush=True)
-            stop = asyncio.Event()
-            loop = asyncio.get_running_loop()
-            _install_signal_handlers(
-                loop, {signal.SIGINT: stop.set, signal.SIGTERM: stop.set}
-            )
-            serving = asyncio.ensure_future(server.serve_forever())
             snapshot_task = None
             if args.metrics_interval:
                 async def log_snapshots() -> None:
@@ -289,22 +307,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
                 snapshot_task = asyncio.ensure_future(log_snapshots())
             try:
-                while not stop.is_set():
-                    if (
-                        args.max_requests is not None
-                        and server.stats.requests >= args.max_requests
-                    ):
-                        break
-                    with contextlib.suppress(asyncio.TimeoutError):
-                        await asyncio.wait_for(stop.wait(), 0.2)
+                await _serve_until_stopped(server, args.max_requests)
             finally:
-                serving.cancel()
                 if snapshot_task is not None:
                     snapshot_task.cancel()
                     with contextlib.suppress(asyncio.CancelledError):
                         await snapshot_task
-                with contextlib.suppress(asyncio.CancelledError):
-                    await serving
             print(server.stats.render(server.clock()), flush=True)
             if server.resilience is not None:
                 snapshot = server.resilience.snapshot()
@@ -545,25 +553,7 @@ def cmd_proxy(args: argparse.Namespace) -> int:
                 f"ttl={args.ttl if args.ttl > 0 else 'off'})",
                 flush=True,
             )
-            stop = asyncio.Event()
-            loop = asyncio.get_running_loop()
-            _install_signal_handlers(
-                loop, {signal.SIGINT: stop.set, signal.SIGTERM: stop.set}
-            )
-            serving = asyncio.ensure_future(server.serve_forever())
-            try:
-                while not stop.is_set():
-                    if (
-                        args.max_requests is not None
-                        and server.stats.requests >= args.max_requests
-                    ):
-                        break
-                    with contextlib.suppress(asyncio.TimeoutError):
-                        await asyncio.wait_for(stop.wait(), 0.2)
-            finally:
-                serving.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await serving
+            await _serve_until_stopped(server, args.max_requests)
             print(server.render(), flush=True)
         return 0
 

@@ -28,18 +28,12 @@ belt-and-braces against a mid-rolling-restart mixed-version fleet).
 from __future__ import annotations
 
 import asyncio
-import contextlib
-from collections import deque
 from dataclasses import dataclass
 
 from repro.core.delta_server import DeltaServer
 from repro.fleet.partition import PartitionMap, owner_of_class_id
 from repro.http.messages import Request, Response
-from repro.serve.protocol import (
-    ProtocolError,
-    read_response,
-    serialize_request,
-)
+from repro.serve.aio import ConnectionPool, PeerUnavailable
 from repro.url.rules import RuleBook
 
 #: stamped on every response by the worker whose engine produced it
@@ -47,10 +41,6 @@ HEADER_FLEET_WORKER = "X-Fleet-Worker"
 
 #: request header marking an intra-fleet forward (value: origin worker id)
 HEADER_FLEET_FORWARDED = "X-Fleet-Forwarded"
-
-
-class PeerUnavailable(Exception):
-    """The owning worker cannot be reached (crashed or mid-restart)."""
 
 
 @dataclass(slots=True)
@@ -91,14 +81,21 @@ class FleetRouter:
         self.worker_id = config.worker_id
         self.partition = partition or PartitionMap(config.workers)
         self._rulebook = rulebook
-        #: per-peer keep-alive pools (event-loop confined; no locking)
-        self._pools: dict[int, deque[tuple[asyncio.StreamReader, asyncio.StreamWriter]]] = {}
+        #: one keep-alive pool per peer's internal port, indexed by worker id
+        self._peers = [
+            ConnectionPool(
+                config.peer_host,
+                port,
+                max_parked=config.pool_size,
+                connect_timeout=config.connect_timeout,
+            )
+            for port in config.peer_ports
+        ]
         # -- counters (single event loop; plain ints are exact) --
         self.local_served = 0
         self.forwarded = 0
         self.forward_failures = 0
         self.served_for_peers = 0
-        self._closed = False
 
     # -- ownership -------------------------------------------------------------
 
@@ -133,84 +130,30 @@ class FleetRouter:
     async def forward(self, owner: int, request: Request) -> Response:
         """Relay ``request`` to ``owner`` and return its response verbatim.
 
-        One stale-pool retry: a pooled connection that dies on use is
-        indistinguishable from a peer that restarted since the pool entry
-        was parked, so the first failure burns the pooled connection and
-        the retry opens a fresh one.  Only when a *fresh* connection also
-        fails is the peer declared unavailable.
+        The pool retries once when a parked connection turns out dead (a
+        peer that restarted since it was parked); a peer that refuses a
+        fresh connection, dies on one, or outlives ``forward_timeout`` is
+        declared unavailable.
         """
         request.headers.set(HEADER_FLEET_FORWARDED, str(self.worker_id))
-        wire = serialize_request(request)
-        for fresh in (False, True):
-            try:
-                reader, writer = await self._checkout(owner, force_fresh=fresh)
-            except (OSError, asyncio.TimeoutError) as exc:
-                self.forward_failures += 1
-                raise PeerUnavailable(
-                    f"worker {owner} unreachable: {exc}"
-                ) from exc
-            try:
-                writer.write(wire)
-                await writer.drain()
-                parsed = await asyncio.wait_for(
-                    read_response(reader), self.config.forward_timeout
-                )
-            except (ProtocolError, ConnectionError, OSError, asyncio.TimeoutError):
-                self._discard(writer)
-                if fresh:
-                    self.forward_failures += 1
-                    raise PeerUnavailable(f"worker {owner} died mid-forward")
-                continue  # stale pooled connection: retry on a fresh one
-            if parsed.keep_alive:
-                self._park(owner, reader, writer)
-            else:
-                self._discard(writer)
-            self.forwarded += 1
-            return parsed.response
-        raise AssertionError("unreachable")  # pragma: no cover
+        try:
+            parsed = await self._peers[owner].exchange(
+                request, timeout=self.config.forward_timeout
+            )
+        except (PeerUnavailable, asyncio.TimeoutError) as exc:
+            self.forward_failures += 1
+            raise PeerUnavailable(f"worker {owner} unavailable: {exc!r}") from exc
+        self.forwarded += 1
+        return parsed.response
 
-    async def _checkout(
-        self, owner: int, *, force_fresh: bool
-    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        pool = self._pools.setdefault(owner, deque())
-        if not force_fresh:
-            while pool:
-                reader, writer = pool.popleft()
-                if not writer.is_closing():
-                    return reader, writer
-                self._discard(writer)
-        return await asyncio.wait_for(
-            asyncio.open_connection(
-                self.config.peer_host, self.config.peer_ports[owner]
-            ),
-            self.config.connect_timeout,
-        )
-
-    def _park(
-        self, owner: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        pool = self._pools.setdefault(owner, deque())
-        if self._closed or len(pool) >= self.config.pool_size or writer.is_closing():
-            self._discard(writer)
-            return
-        pool.append((reader, writer))
-
-    @staticmethod
-    def _discard(writer: asyncio.StreamWriter) -> None:
-        with contextlib.suppress(Exception):
-            writer.close()
-
-    async def close(self) -> None:
+    def close(self) -> None:
         """Drop every pooled peer connection (worker drain path).
 
         In-flight forwards keep their checked-out connection and finish
         normally; it is discarded instead of re-parked afterwards.
         """
-        self._closed = True
-        for pool in self._pools.values():
-            while pool:
-                _, writer = pool.popleft()
-                self._discard(writer)
+        for pool in self._peers:
+            pool.close()
 
     # -- observability ---------------------------------------------------------
 
@@ -223,5 +166,5 @@ class FleetRouter:
             "served_for_peers": self.served_for_peers,
             "forwarded": self.forwarded,
             "forward_failures": self.forward_failures,
-            "pooled_connections": sum(len(p) for p in self._pools.values()),
+            "pooled_connections": sum(pool.parked for pool in self._peers),
         }

@@ -43,13 +43,7 @@ from pathlib import Path
 from repro.fleet.aggregate import merge_expositions
 from repro.fleet.partition import PartitionMap
 from repro.http.messages import Request, Response
-from repro.metrics import PROMETHEUS_CONTENT_TYPE
-from repro.serve.protocol import (
-    read_request,
-    read_response,
-    serialize_request,
-    serialize_response,
-)
+from repro.serve.aio import HEALTH_PATH, METRICS_PATH, ConnectionPool, ServerShell
 from repro.url.parts import split_server
 
 ACCEPT_REUSEPORT = "reuseport"
@@ -75,21 +69,9 @@ async def http_get(
     host: str, port: int, path: str, *, timeout: float = 2.0
 ) -> Response:
     """One-shot loopback GET (readiness probes, scrapes, CLI verbs)."""
-
-    async def _fetch() -> Response:
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            request = Request(url=f"{host}:{port}/{path.lstrip('/')}")
-            writer.write(serialize_request(request, keep_alive=False))
-            await writer.drain()
-            parsed = await read_response(reader)
-            return parsed.response
-        finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    return await asyncio.wait_for(_fetch(), timeout)
+    request = Request(url=f"{host}:{port}/{path.lstrip('/')}")
+    pool = ConnectionPool(host, port, max_parked=0)
+    return (await asyncio.wait_for(pool.exchange(request), timeout)).response
 
 
 @dataclass(slots=True)
@@ -162,8 +144,15 @@ class FleetSupervisor:
         self._reserve_sock: socket.socket | None = None
         self._listen_sock: socket.socket | None = None
         self._port: int | None = None
-        self._admin: asyncio.base_events.Server | None = None
-        self._admin_port: int | None = None
+        #: loopback admin endpoint (aggregated health/metrics, drain, roll)
+        self.admin = ServerShell(
+            self._handle_admin,
+            health=self._health,
+            metrics_lines=self._metrics_lines,
+            port=config.admin_port,
+        )
+        #: drains/rolls started from the admin endpoint (kept referenced)
+        self._admin_verbs: set[asyncio.Task] = set()
         self._supervise_tasks: list[asyncio.Task] = []
         self._pump_tasks: list[asyncio.Task] = []
         self._draining = False
@@ -180,9 +169,7 @@ class FleetSupervisor:
 
     @property
     def admin_address(self) -> tuple[str, int]:
-        if self._admin_port is None:
-            raise RuntimeError("fleet not started")
-        return ("127.0.0.1", self._admin_port)
+        return self.admin.address
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -215,7 +202,7 @@ class FleetSupervisor:
         if config.state_dir:
             for handle in self.handles:
                 self._shard_dir(handle.worker_id).mkdir(parents=True, exist_ok=True)
-        await self._start_admin()
+        await self.admin.start()
         self._supervise_tasks = [
             asyncio.ensure_future(self._supervise(handle)) for handle in self.handles
         ]
@@ -240,7 +227,7 @@ class FleetSupervisor:
             task.cancel()
         await asyncio.gather(*self._supervise_tasks, return_exceptions=True)
         await asyncio.gather(*self._pump_tasks, return_exceptions=True)
-        await self._close_admin()
+        await self.admin.close()
         self._close_sockets()
         self._remove_control_file()
         self._drain_done.set()
@@ -380,7 +367,7 @@ class FleetSupervisor:
                 return False
             try:
                 response = await http_get(
-                    "127.0.0.1", handle.internal_port, "__health__", timeout=1.0
+                    "127.0.0.1", handle.internal_port, HEALTH_PATH, timeout=1.0
                 )
             except Exception:
                 await asyncio.sleep(0.05)
@@ -438,7 +425,7 @@ class FleetSupervisor:
             "host": self.config.host,
             "port": self._port,
             "admin_host": "127.0.0.1",
-            "admin_port": self._admin_port,
+            "admin_port": self.admin.port,
             "accept_mode": self.accept_mode,
             "workers": [
                 {
@@ -461,53 +448,23 @@ class FleetSupervisor:
 
     # -- aggregation (admin endpoint) -----------------------------------------
 
-    async def _start_admin(self) -> None:
-        self._admin = await asyncio.start_server(
-            self._admin_connected, "127.0.0.1", self.config.admin_port
-        )
-        self._admin_port = self._admin.sockets[0].getsockname()[1]
+    async def _handle_admin(self, request: Request) -> Response:
+        """The control verbs (health and metrics are the shell's routes)."""
+        _, remainder = split_server(request.url)
+        # Answer first, then act — the caller's connection survives to
+        # read the acknowledgement.
+        if remainder == "__drain__":
+            self._start_verb(self.drain())
+            return Response(status=202, body=b'{"draining": true}')
+        if remainder == "__roll__":
+            self._start_verb(self.roll())
+            return Response(status=202, body=b'{"rolling": true}')
+        return Response(status=404, body=b"unknown fleet endpoint")
 
-    async def _close_admin(self) -> None:
-        if self._admin is not None:
-            self._admin.close()
-            await self._admin.wait_closed()
-            self._admin = None
-
-    def _admin_connected(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        asyncio.ensure_future(self._serve_admin(reader, writer))
-
-    async def _serve_admin(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            parsed = await asyncio.wait_for(read_request(reader), 5.0)
-            if parsed is None:
-                return
-            _, remainder = split_server(parsed.request.url)
-            if remainder == "__health__":
-                response = await self._health_response()
-            elif remainder == "__metrics__":
-                response = await self._metrics_response()
-            elif remainder == "__drain__":
-                # Answer first, then drain — the caller's connection
-                # survives to read the acknowledgement.
-                response = Response(status=202, body=b'{"draining": true}')
-                asyncio.ensure_future(self.drain())
-            elif remainder == "__roll__":
-                response = Response(status=202, body=b'{"rolling": true}')
-                asyncio.ensure_future(self.roll())
-            else:
-                response = Response(status=404, body=b"unknown fleet endpoint")
-            writer.write(serialize_response(response, keep_alive=False))
-            await writer.drain()
-        except (asyncio.TimeoutError, ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+    def _start_verb(self, verb) -> None:
+        task = asyncio.ensure_future(verb)
+        self._admin_verbs.add(task)
+        task.add_done_callback(self._admin_verbs.discard)
 
     async def _scrape(self, handle: WorkerHandle, path: str) -> Response | None:
         if not handle.alive or not handle.ready.is_set():
@@ -520,9 +477,9 @@ class FleetSupervisor:
             self.scrape_failures += 1
             return None
 
-    async def _health_response(self) -> Response:
+    async def _health(self) -> dict:
         scrapes = await asyncio.gather(
-            *(self._scrape(handle, "__health__") for handle in self.handles)
+            *(self._scrape(handle, HEALTH_PATH) for handle in self.handles)
         )
         workers = []
         alive = 0
@@ -549,7 +506,7 @@ class FleetSupervisor:
                     "health": worker_health,
                 }
             )
-        payload = {
+        return {
             "status": (
                 "draining" if self._draining
                 else "ok" if healthy
@@ -565,15 +522,10 @@ class FleetSupervisor:
             },
             "workers": workers,
         }
-        response = Response(
-            status=200, body=json.dumps(payload, sort_keys=True).encode()
-        )
-        response.headers.set("Content-Type", "application/json")
-        return response
 
-    async def _metrics_response(self) -> Response:
+    async def _metrics_lines(self) -> list[str]:
         scrapes = await asyncio.gather(
-            *(self._scrape(handle, "__metrics__") for handle in self.handles)
+            *(self._scrape(handle, METRICS_PATH) for handle in self.handles)
         )
         parts = {
             handle.worker_id: scraped.body.decode()
@@ -604,7 +556,4 @@ class FleetSupervisor:
                     f"repro_fleet_worker_drain_seconds{{{label}}} "
                     f"{handle.last_drain_seconds}"
                 )
-        body = merge_expositions(parts, "\n".join(extra))
-        response = Response(status=200, body=body.encode())
-        response.headers.set("Content-Type", PROMETHEUS_CONTENT_TYPE)
-        return response
+        return merge_expositions(parts, "\n".join(extra)).splitlines()

@@ -9,6 +9,7 @@ from repro.metrics.registry import (
     MetricsRegistry,
     format_sample,
     histogram_lines,
+    scalar_lines,
 )
 from repro.metrics.report import fmt_factor, fmt_kb, fmt_pct, render_table
 
@@ -26,4 +27,5 @@ __all__ = [
     "histogram_lines",
     "nearest_rank_index",
     "render_table",
+    "scalar_lines",
 ]

@@ -34,6 +34,7 @@ __all__ = [
     "MetricsRegistry",
     "format_sample",
     "histogram_lines",
+    "scalar_lines",
     "PROMETHEUS_CONTENT_TYPE",
 ]
 
@@ -74,6 +75,30 @@ def format_sample(name: str, labels: LabelItems, value: float) -> str:
         )
         return f"{name}{{{rendered}}} {_format_value(value)}"
     return f"{name} {_format_value(value)}"
+
+
+def scalar_lines(
+    kind: str,
+    samples: Iterable[tuple[str, str, float]],
+    *,
+    prefix: str = "",
+    suffix: str = "",
+) -> list[str]:
+    """Unlabelled scalar families of one ``kind`` (``counter``/``gauge``).
+
+    ``samples`` yields ``(name, help, value)``; each becomes ``# HELP``
+    (skipped when ``help`` is empty), ``# TYPE`` and one sample line for
+    ``<prefix><name><suffix>``.  The one place a ``*Stats`` scalar is
+    turned into exposition text at read time.
+    """
+    lines: list[str] = []
+    for name, help_text, value in samples:
+        full = f"{prefix}{name}{suffix}"
+        if help_text:
+            lines.append(f"# HELP {full} {help_text}")
+        lines.append(f"# TYPE {full} {kind}")
+        lines.append(format_sample(full, (), value))
+    return lines
 
 
 def histogram_lines(
@@ -190,8 +215,8 @@ class MetricsRegistry:
 
     # -- exposition ------------------------------------------------------------
 
-    def render(self, extra_lines: Iterable[str] = ()) -> str:
-        """Prometheus text exposition of everything recorded (+extras)."""
+    def lines(self) -> list[str]:
+        """Prometheus text exposition lines of everything recorded."""
         lines: list[str] = []
         with self._lock:
             counters = {
@@ -216,8 +241,7 @@ class MetricsRegistry:
             lines.append(f"# TYPE {full} histogram")
             for key, histogram in sorted(series, key=lambda item: item[0]):
                 lines.extend(histogram_lines(full, histogram, key))
-        lines.extend(extra_lines)
-        return "\n".join(lines) + "\n"
+        return lines
 
 
 class _Timer:

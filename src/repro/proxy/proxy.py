@@ -28,8 +28,9 @@ class ProxyStats:
 
     ``upstream_bytes``/``downstream_bytes`` count response *bodies* (the
     conservation invariant ``downstream_bytes >= upstream_bytes`` holds
-    whenever the cache produced at least one hit); the ``*_wire_bytes``
-    fields — used by the live tier — count actual bytes on each wire.
+    whenever the cache produced at least one hit); ``upstream_wire_bytes``
+    — used by the live tier — counts actual bytes read off the upstream
+    wire (the downstream wire is the serving shell's ``bytes_out``).
     """
 
     requests: int = 0
@@ -40,7 +41,6 @@ class ProxyStats:
     downstream_bytes: int = 0
     #: live tier only: wire-level accounting for the byte-savings math
     upstream_wire_bytes: int = 0
-    downstream_wire_bytes: int = 0
     #: conditional (If-None-Match) refreshes of TTL-expired entries …
     revalidations: int = 0
     #: … and how many came back 304 Not Modified (bytes saved)

@@ -21,13 +21,11 @@ Properties:
   delta-server answers ``304 Not Modified`` when its base-file still has
   those exact bytes (base-file versions are immutable, so a refresh
   normally costs headers, not bodies).
-* **Same wire stack as the server** (:mod:`repro.serve.protocol`):
-  keep-alive both sides, chunked bodies, connection-slot ceiling with
-  503 rejections, graceful drain.
-* **Own observability surface** — ``GET /__metrics__`` renders the
-  proxy's cache and traffic families in Prometheus text exposition and
-  ``GET /__health__`` a JSON snapshot, so a hierarchy of processes can
-  each be scraped independently.
+* **Same shell and pool as every tier** (:mod:`repro.serve.aio`):
+  keep-alive both sides, connection slots, per-request ``X-Trace-Id``
+  (forwarded upstream, so a miss carries one id over both hops), its own
+  ``/__metrics__`` (cache and traffic families) and ``/__health__``, so a
+  hierarchy of processes can each be scraped independently.
 
 Every response served from cache carries ``X-Proxy-Cache: hit`` (or
 ``revalidated``); forwarded answers carry ``miss`` (``bypass`` for
@@ -38,29 +36,12 @@ verifying end-to-end.
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
-import json
-import time
-from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Callable
-
 from repro.http.messages import HEADER_IF_NONE_MATCH, Request, Response
-from repro.metrics import PROMETHEUS_CONTENT_TYPE, format_sample, render_table
+from repro.metrics import format_sample, render_table, scalar_lines
 from repro.proxy.cache import LRUCache
 from repro.proxy.proxy import ProxyStats
-from repro.serve.protocol import (
-    HEADER_BODY_DIGEST,
-    ParsedRequest,
-    ProtocolError,
-    read_request,
-    read_response,
-    serialize_request,
-    serialize_response,
-)
-from repro.serve.server import HEALTH_PATH, METRICS_PATH
-from repro.url.parts import split_server
+from repro.serve.aio import ConnectionPool, PeerUnavailable, ServerShell
+from repro.serve.protocol import HEADER_BODY_DIGEST, ParsedResponse
 
 PROXY_SOFTWARE = "repro-proxy/1.0"
 
@@ -71,278 +52,65 @@ HEADER_PROXY_CACHE = "X-Proxy-Cache"
 DEFAULT_TTL = 300.0
 
 
-class UpstreamError(Exception):
-    """The upstream could not be reached or answered garbage."""
+class ProxyHTTPServer(ServerShell):
+    """Caching forward proxy in front of one upstream server.
 
-
-@dataclass(slots=True)
-class ProxyServeStats:
-    """Connection-level counters for one live proxy instance."""
-
-    started_at: float | None = None
-    connections_accepted: int = 0
-    connections_rejected: int = 0
-    active_connections: int = 0
-    peak_connections: int = 0
-    protocol_errors: int = 0
-    timeouts: int = 0
-    #: ``/__metrics__`` + ``/__health__`` probes answered by the proxy itself
-    admin_requests: int = 0
-    status_counts: Counter = field(default_factory=Counter)
-
-
-class _UpstreamPool:
-    """Bounded pool of keep-alive connections to the upstream server."""
-
-    def __init__(self, host: str, port: int, size: int) -> None:
-        self.host = host
-        self.port = port
-        self._slots = asyncio.Semaphore(size)
-        self._idle: deque[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = deque()
-
-    async def roundtrip(self, request: Request, timeout: float):
-        """One request/response exchange; retries once on a dead pooled conn.
-
-        Returns the :class:`~repro.serve.protocol.ParsedResponse`; raises
-        :class:`UpstreamError` when the upstream is unreachable or speaks
-        a broken protocol even on a fresh connection.
-        """
-        async with self._slot():
-            for attempt in (0, 1):
-                reused = bool(self._idle)
-                if reused:
-                    reader, writer = self._idle.popleft()
-                else:
-                    try:
-                        reader, writer = await asyncio.open_connection(
-                            self.host, self.port
-                        )
-                    except OSError as exc:
-                        raise UpstreamError(f"connect failed: {exc}") from exc
-                try:
-                    writer.write(serialize_request(request))
-                    await writer.drain()
-                    parsed = await asyncio.wait_for(read_response(reader), timeout)
-                except asyncio.TimeoutError:
-                    self._close(writer)
-                    raise
-                except (ProtocolError, ConnectionError, OSError) as exc:
-                    self._close(writer)
-                    if reused and attempt == 0:
-                        # A pooled connection the upstream closed between
-                        # requests: retry once on a fresh socket.
-                        continue
-                    raise UpstreamError(f"upstream exchange failed: {exc}") from exc
-                if parsed.keep_alive:
-                    self._idle.append((reader, writer))
-                else:
-                    self._close(writer)
-                return parsed
-        raise UpstreamError("upstream exchange failed")  # pragma: no cover
-
-    @contextlib.asynccontextmanager
-    async def _slot(self):
-        await self._slots.acquire()
-        try:
-            yield
-        finally:
-            self._slots.release()
-
-    @staticmethod
-    def _close(writer: asyncio.StreamWriter) -> None:
-        with contextlib.suppress(Exception):
-            writer.close()
-
-    def close(self) -> None:
-        while self._idle:
-            _, writer = self._idle.popleft()
-            self._close(writer)
-
-
-class ProxyHTTPServer:
-    """Asyncio caching forward proxy in front of one upstream server."""
+    The request handler of its :class:`~repro.serve.aio.ServerShell`
+    (whose ``host``, ``port``, ``max_connections``, ``request_timeout``,
+    ``idle_timeout``, ``drain_timeout``, ``chunk_threshold`` and ``clock``
+    options pass straight through); upstream traffic goes through one
+    :class:`~repro.serve.aio.ConnectionPool`.
+    """
 
     def __init__(
         self,
         upstream_host: str,
         upstream_port: int,
         *,
-        host: str = "127.0.0.1",
-        port: int = 0,
         capacity_bytes: int = 64 * 1024 * 1024,
         ttl: float | None = DEFAULT_TTL,
-        max_connections: int = 255,
         upstream_connections: int = 16,
-        request_timeout: float = 30.0,
-        idle_timeout: float = 30.0,
-        drain_timeout: float = 5.0,
-        chunk_threshold: int = 16 * 1024,
-        clock: Callable[[], float] | None = None,
+        **shell_options: object,
     ) -> None:
-        if max_connections < 1:
-            raise ValueError("max_connections must be >= 1")
         if upstream_connections < 1:
             raise ValueError("upstream_connections must be >= 1")
+        super().__init__(
+            self.handle,
+            health=self.health,
+            metrics_lines=self.metrics_lines,
+            stamp=self.stamp,
+            **shell_options,  # type: ignore[arg-type]
+        )
         self.upstream_host = upstream_host
         self.upstream_port = upstream_port
         self.cache = LRUCache(capacity_bytes, ttl=ttl)
         self.stats = ProxyStats()
-        self.serve_stats = ProxyServeStats()
-        self.max_connections = max_connections
-        self.clock = clock or time.monotonic
-        self._pool = _UpstreamPool(upstream_host, upstream_port, upstream_connections)
-        self._host = host
-        self._port = port
-        self._request_timeout = request_timeout
-        self._idle_timeout = idle_timeout
-        self._drain_timeout = drain_timeout
-        self._chunk_threshold = chunk_threshold
-        self._slots = asyncio.Semaphore(max_connections)
-        self._tasks: set[asyncio.Task] = set()
-        self._server: asyncio.base_events.Server | None = None
-        self._closing = False
-
-    # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def address(self) -> tuple[str, int]:
-        if self._server is None:
-            raise RuntimeError("proxy not started")
-        return self._server.sockets[0].getsockname()[:2]
-
-    @property
-    def port(self) -> int:
-        return self.address[1]
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._client_connected, self._host, self._port
+        self._upstream = ConnectionPool(
+            upstream_host,
+            upstream_port,
+            max_open=upstream_connections,
+            max_parked=upstream_connections,
         )
-        self.serve_stats.started_at = self.clock()
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        with contextlib.suppress(asyncio.CancelledError):
-            await self._server.serve_forever()
 
     async def close(self) -> None:
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._tasks:
-            _, pending = await asyncio.wait(
-                set(self._tasks), timeout=self._drain_timeout
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        self._pool.close()
+        await super().close()
+        self._upstream.close()
 
-    async def __aenter__(self) -> "ProxyHTTPServer":
-        await self.start()
-        return self
+    # -- the handler -----------------------------------------------------------
 
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()
-
-    # -- connection handling ---------------------------------------------------
-
-    def _client_connected(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.ensure_future(self._serve_connection(reader, writer))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        if self._closing or self._slots.locked():
-            self.serve_stats.connections_rejected += 1
-            self.serve_stats.status_counts[503] += 1
-            wire = serialize_response(
-                Response(status=503, body=b"proxy connection slots exhausted"),
-                keep_alive=False,
-            )
-            with contextlib.suppress(Exception):
-                writer.write(wire)
-                await writer.drain()
-            writer.close()
-            return
-        await self._slots.acquire()
-        self.serve_stats.connections_accepted += 1
-        self.serve_stats.active_connections += 1
-        self.serve_stats.peak_connections = max(
-            self.serve_stats.peak_connections, self.serve_stats.active_connections
-        )
+    async def handle(self, request: Request) -> Response:
         try:
-            await self._request_loop(reader, writer)
-        finally:
-            self._slots.release()
-            self.serve_stats.active_connections -= 1
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _request_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            try:
-                parsed = await asyncio.wait_for(
-                    read_request(reader), self._idle_timeout
-                )
-            except (asyncio.TimeoutError, ConnectionError):
-                return
-            except ProtocolError as exc:
-                self.serve_stats.protocol_errors += 1
-                await self._write(
-                    writer,
-                    Response(status=exc.status, body=str(exc).encode()),
-                    keep_alive=False,
-                )
-                return
-            if parsed is None:
-                return  # clean EOF
-            keep_alive = await self._serve_one(writer, parsed)
-            if not keep_alive:
-                return
-
-    async def _serve_one(
-        self, writer: asyncio.StreamWriter, parsed: ParsedRequest
-    ) -> bool:
-        try:
-            response = await asyncio.wait_for(
-                self._dispatch(parsed.request), self._request_timeout
-            )
-        except asyncio.TimeoutError:
-            self.serve_stats.timeouts += 1
-            response = Response(status=504, body=b"upstream timed out")
-        except UpstreamError as exc:
+            response = await self._lookup_or_forward(request)
+        except PeerUnavailable as exc:
             self.stats.upstream_errors += 1
             response = Response(status=502, body=f"upstream error: {exc}".encode())
+        self.stamp(response)
+        return response
+
+    def stamp(self, response: Response) -> None:
         response.headers.set("Via", f"1.1 {PROXY_SOFTWARE}")
-        keep_alive = parsed.keep_alive and not self._closing
-        try:
-            await self._write(writer, response, keep_alive=keep_alive)
-        except ConnectionError:
-            return False
-        return keep_alive
 
-    # -- dispatch --------------------------------------------------------------
-
-    async def _dispatch(self, request: Request) -> Response:
-        _, remainder = split_server(request.url)
-        if remainder == METRICS_PATH:
-            self.serve_stats.admin_requests += 1
-            return self._metrics_response()
-        if remainder == HEALTH_PATH:
-            self.serve_stats.admin_requests += 1
-            return self._health_response()
+    async def _lookup_or_forward(self, request: Request) -> Response:
         self.stats.requests += 1
         if request.method != "GET":
             # A cachable 200 to a POST is the side-effect's answer, not
@@ -406,9 +174,9 @@ class ProxyHTTPServer:
             self.cache.invalidate(request.url)
         return self._deliver(self._copy(response), "miss")
 
-    async def _forward(self, request: Request):
+    async def _forward(self, request: Request) -> ParsedResponse:
         """One upstream round-trip with wire/body accounting."""
-        parsed = await self._pool.roundtrip(request, self._request_timeout)
+        parsed = await self._upstream.exchange(request)
         self.stats.upstream_requests += 1
         self.stats.upstream_wire_bytes += parsed.wire_bytes
         self.stats.upstream_bytes += parsed.response.content_length
@@ -429,34 +197,15 @@ class ProxyHTTPServer:
         self.stats.downstream_bytes += response.content_length
         return response
 
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        response: Response,
-        *,
-        keep_alive: bool,
-    ) -> None:
-        chunked = len(response.body) >= self._chunk_threshold
-        wire = serialize_response(response, keep_alive=keep_alive, chunked=chunked)
-        self.serve_stats.status_counts[response.status] += 1
-        self.stats.downstream_wire_bytes += len(wire)
-        writer.write(wire)
-        await writer.drain()
-
     # -- observability ---------------------------------------------------------
 
-    def _health_response(self) -> Response:
+    async def health(self) -> dict:
         cache = self.cache.stats
-        payload = {
-            "status": "ok" if not self._closing else "draining",
+        served = self.serve_stats
+        return {
+            "status": "ok" if not self.closing else "draining",
             "upstream": {"host": self.upstream_host, "port": self.upstream_port},
-            "connections": {
-                "accepted": self.serve_stats.connections_accepted,
-                "rejected": self.serve_stats.connections_rejected,
-                "active": self.serve_stats.active_connections,
-                "peak": self.serve_stats.peak_connections,
-                "slots": self.max_connections,
-            },
+            "connections": self.connections(),
             "cache": {
                 "entries": len(self.cache),
                 "size_bytes": self.cache.size_bytes,
@@ -475,22 +224,18 @@ class ProxyHTTPServer:
                 "bypassed": self.stats.bypassed,
                 "upstream_requests": self.stats.upstream_requests,
                 "upstream_wire_bytes": self.stats.upstream_wire_bytes,
-                "downstream_wire_bytes": self.stats.downstream_wire_bytes,
+                "downstream_wire_bytes": served.bytes_out,
                 "revalidations": self.stats.revalidations,
                 "revalidated": self.stats.revalidated,
                 "upstream_errors": self.stats.upstream_errors,
             },
         }
-        response = Response(
-            status=200, body=json.dumps(payload, sort_keys=True).encode()
-        )
-        response.headers.set("Content-Type", "application/json")
-        return response
 
-    def prometheus_lines(self, now: float | None = None) -> list[str]:
+    async def metrics_lines(self) -> list[str]:
         """The proxy's cache and traffic families in exposition format."""
         traffic = self.stats
         cache = self.cache.stats
+        served = self.serve_stats
         counters: list[tuple[str, str, float]] = [
             ("repro_proxy_requests_total", "requests proxied (admin excluded)",
              traffic.requests),
@@ -512,7 +257,7 @@ class ProxyHTTPServer:
             ("repro_proxy_upstream_wire_bytes_total",
              "wire bytes read from the upstream", traffic.upstream_wire_bytes),
             ("repro_proxy_downstream_wire_bytes_total",
-             "wire bytes written to clients", traffic.downstream_wire_bytes),
+             "wire bytes written to clients", served.bytes_out),
             ("repro_proxy_cache_hits_total", "fresh cache hits", cache.hits),
             ("repro_proxy_cache_misses_total",
              "lookups that needed the upstream", cache.misses),
@@ -531,30 +276,26 @@ class ProxyHTTPServer:
             ("repro_proxy_cache_hit_bytes_total", "body bytes served from cache",
              cache.hit_bytes),
             ("repro_proxy_connections_accepted_total", "connections accepted",
-             self.serve_stats.connections_accepted),
+             served.connections_accepted),
             ("repro_proxy_connections_rejected_total",
              "connections turned away with 503",
-             self.serve_stats.connections_rejected),
+             served.connections_rejected),
             ("repro_proxy_protocol_errors_total", "malformed inbound framing",
-             self.serve_stats.protocol_errors),
+             served.protocol_errors),
             ("repro_proxy_timeouts_total", "upstream exchanges answered 504",
-             self.serve_stats.timeouts),
+             served.timeouts),
             ("repro_proxy_admin_requests_total",
              "metrics/health probes answered locally",
-             self.serve_stats.admin_requests),
+             served.health_checks + served.metrics_scrapes),
         ]
-        lines: list[str] = []
-        for name, help_text, value in counters:
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} counter")
-            lines.append(format_sample(name, (), value))
+        lines = scalar_lines("counter", counters)
         lines.append("# TYPE repro_proxy_responses_by_status_total counter")
-        for status in sorted(self.serve_stats.status_counts):
+        for status in sorted(served.status_counts):
             lines.append(
                 format_sample(
                     "repro_proxy_responses_by_status_total",
                     (("status", str(status)),),
-                    self.serve_stats.status_counts[status],
+                    served.status_counts[status],
                 )
             )
         gauges: list[tuple[str, str, float]] = [
@@ -566,29 +307,20 @@ class ProxyHTTPServer:
             ("repro_proxy_cache_hit_rate", "hits over all lookups",
              cache.hit_rate),
             ("repro_proxy_active_connections", "currently open client connections",
-             self.serve_stats.active_connections),
+             served.active_connections),
         ]
-        if now is not None and self.serve_stats.started_at is not None:
+        if served.started_at is not None:
             gauges.append(
                 ("repro_proxy_uptime_seconds", "seconds since start",
-                 now - self.serve_stats.started_at)
+                 self.clock() - served.started_at)
             )
-        for name, help_text, value in gauges:
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(format_sample(name, (), value))
-        return lines
-
-    def _metrics_response(self) -> Response:
-        body = "\n".join(self.prometheus_lines(self.clock())) + "\n"
-        response = Response(status=200, body=body.encode())
-        response.headers.set("Content-Type", PROMETHEUS_CONTENT_TYPE)
-        return response
+        return lines + scalar_lines("gauge", gauges)
 
     def render(self, title: str = "proxy tier") -> str:
         """Aligned stats table (CLI exit report)."""
         traffic = self.stats
         cache = self.cache.stats
+        served = self.serve_stats
         saved = traffic.downstream_bytes - traffic.upstream_bytes
         rows: list[list[object]] = [
             ["requests (bypassed non-GET)",
@@ -607,9 +339,8 @@ class ProxyHTTPServer:
             ["body bytes upstream / downstream (saved)",
              f"{traffic.upstream_bytes} / {traffic.downstream_bytes} ({saved})"],
             ["wire bytes upstream / downstream",
-             f"{traffic.upstream_wire_bytes} / {traffic.downstream_wire_bytes}"],
+             f"{traffic.upstream_wire_bytes} / {served.bytes_out}"],
             ["connections accepted / rejected",
-             f"{self.serve_stats.connections_accepted} / "
-             f"{self.serve_stats.connections_rejected}"],
+             f"{served.connections_accepted} / {served.connections_rejected}"],
         ]
         return render_table(["metric", "value"], rows, title=title)

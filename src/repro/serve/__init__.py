@@ -12,9 +12,12 @@ Modules:
 
 * :mod:`repro.serve.protocol` — HTTP/1.1 wire mapping onto
   ``repro.http`` message types (keep-alive, chunked bodies, cookies).
-* :mod:`repro.serve.server` — :class:`DeltaHTTPServer`, the asyncio
-  front-end (connection-slot ceiling, timeouts, graceful drain), and
-  :func:`build_server` to assemble the full stack from synthetic sites.
+* :mod:`repro.serve.aio` — :class:`ServerShell` (listeners, connection
+  slots, timeouts, admin endpoints, graceful drain) and
+  :class:`ConnectionPool`, shared by every tier.
+* :mod:`repro.serve.server` — :class:`DeltaHTTPServer`, the engine as a
+  handler over the shell, and :func:`build_server` to assemble the full
+  stack from synthetic sites.
 * :mod:`repro.serve.executor` — :class:`DeltaExecutor`, worker-pool
   offload so the event loop never blocks on the differ.
 * :mod:`repro.serve.gateway` — :class:`OriginGateway`, the bridge to the

@@ -1,14 +1,12 @@
 """The live delta-server: ``repro.core.DeltaServer`` behind real sockets.
 
-This is the deployment posture of Fig. 2 made literal: an asyncio TCP
-listener speaking HTTP/1.1 (:mod:`repro.serve.protocol`), with the
-class-based delta-encoding engine doing the actual work.  Design points,
-each mirroring a Section VI-C property of the paper's Apache testbed:
+This is the deployment posture of Fig. 2 made literal: the class-based
+delta-encoding engine as the request handler of the shared HTTP/1.1 shell
+(:class:`repro.serve.aio.ServerShell` — connection slots with the paper's
+255 ceiling, timeouts, trace ids, ``/__health__`` + ``/__metrics__``,
+idle-aware graceful drain).  What this tier adds, each mirroring a
+Section VI-C property of the paper's Apache testbed:
 
-* **Connection-slot semaphore** — at most ``max_connections`` (default
-  the paper's 255) concurrent connections; further connections are turned
-  away with ``503`` instead of queueing, the behaviour the discrete-event
-  capacity sweep models.
 * **The event loop never blocks on the differ** — delta generation (and
   origin rendering) runs on a :class:`DeltaExecutor` worker pool; the
   loop only parses, awaits, and writes.  The engine is sharded
@@ -16,23 +14,19 @@ each mirroring a Section VI-C property of the paper's Apache testbed:
   generation — :mod:`repro.core.delta_server`), so worker threads serving
   different classes genuinely overlap instead of convoying on one engine
   lock; connection handling stays concurrent on the loop.
-* **Per-request timeout** — a dispatch exceeding ``request_timeout``
-  answers ``504`` and the connection keeps serving.
 * **Origin resilience** — origin access goes through a
   :class:`~repro.resilience.policy.ResilientOrigin` (retries with
   backoff under a deadline budget, circuit breaker); when the policy
   gives up, the engine degrades to a marked-stale base-file and the
   front-end to ``502`` — a dead origin never yields raw 500s or a
   worker pool hung on retries.
-* **Health surface** — ``GET /__health__`` reports breaker state,
-  quarantined classes, and degradation counters as JSON.
-* **Metrics surface** — ``GET /__metrics__`` renders every counter and
-  per-stage histogram (engine pipeline, origin resilience, serve layer)
-  in the Prometheus text exposition format; every response carries an
-  ``X-Trace-Id`` (client-supplied or minted here) so slow requests can
-  be correlated with their ``X-Stage-Times`` stage timings.
-* **Graceful drain** — ``close()`` stops accepting, lets in-flight
-  connections finish for ``drain_timeout`` seconds, then cancels.
+* **Health and metrics content** — ``/__health__`` reports breaker state,
+  quarantined classes, and degradation counters; ``/__metrics__`` renders
+  every counter and per-stage histogram (engine pipeline, origin
+  resilience, store, fleet router, serve layer), so a slow request's
+  ``X-Trace-Id`` can be correlated with its ``X-Stage-Times``.
+* **Fleet routing** — with a :class:`~repro.fleet.router.FleetRouter`,
+  requests for classes another worker owns are forwarded there.
 
 ``mode="plain"`` serves full origin renders through the identical wire
 stack (no delta engine), giving the plain-web-server baseline of the
@@ -41,19 +35,12 @@ capacity comparison over the same sockets.
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
-import itertools
-import json
 import logging
-import random
-import socket
-import time
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.core.config import DeltaServerConfig
-from repro.core.delta_server import DeltaServer
+from repro.core.delta_server import STAT_FIELDS, DeltaServer
 from repro.fleet.partition import worker_class_prefix
 from repro.fleet.router import (
     HEADER_FLEET_FORWARDED,
@@ -65,11 +52,10 @@ from repro.fleet.router import (
 from repro.http.messages import (
     HEADER_DEGRADED,
     HEADER_IF_NONE_MATCH,
-    HEADER_TRACE_ID,
     Request,
     Response,
 )
-from repro.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
+from repro.metrics import MetricsRegistry, scalar_lines
 from repro.origin.server import OriginServer
 from repro.origin.site import SyntheticSite
 from repro.resilience.breaker import CLOSED
@@ -79,363 +65,179 @@ from repro.resilience.policy import (
     ResilienceConfig,
     ResilientOrigin,
 )
+from repro.serve.aio import (  # noqa: F401 — the two paths are public names here
+    HEALTH_PATH,
+    METRICS_PATH,
+    PAPER_CONNECTION_LIMIT,
+    ServerShell,
+)
 from repro.serve.executor import DeltaExecutor
 from repro.serve.gateway import FaultHook, OriginGateway
 from repro.serve.protocol import (
     HEADER_BODY_DIGEST,
     HEADER_SERVED_AT,
     SERVER_SOFTWARE,
-    ParsedRequest,
-    ProtocolError,
     body_digest,
-    read_request,
-    serialize_response,
 )
-from repro.serve.stats import ServeStats
-from repro.url.parts import split_server
 
 logger = logging.getLogger("repro.serve")
 
 MODES = ("delta", "plain")
 
-#: the paper's Apache connection ceiling (Section VI-C)
-PAPER_CONNECTION_LIMIT = 255
+# Scalars mirrored into /__metrics__ at read time (no double bookkeeping
+# on the hot path): snapshot keys / attribute names, exported as
+# repro_<layer>_<name>[_total].  The engine's are every ServerStats field.
+_STORE_COUNTERS = (
+    "journal_records", "commits", "full_records", "delta_records",
+    "history_evictions", "compactions",
+)
+_STORE_GAUGES = (
+    "pack_bytes", "live_pack_bytes", "garbage_bytes", "journal_bytes",
+    "classes", "max_chain_length", "snapshot_every", "generation",
+    "recovery_ms", "warm_start", "rehydrated_classes",
+)
+_FLEET_COUNTERS = (
+    "local_served", "served_for_peers", "forwarded", "forward_failures",
+)
+_GATEWAY_COUNTERS = (
+    "fetches", "faults_injected", "hook_failures", "resets_injected",
+    "corruptions_injected",
+)
 
-#: path (relative to any host) answering the liveness/degradation report
-HEALTH_PATH = "__health__"
 
-#: path (relative to any host) answering the Prometheus-text exposition
-METRICS_PATH = "__metrics__"
+class DeltaHTTPServer(ServerShell):
+    """A :class:`DeltaServer` engine as the handler of its :class:`ServerShell`.
 
-
-class DeltaHTTPServer:
-    """Asyncio HTTP/1.1 front-end for a :class:`DeltaServer` engine."""
+    Listener, slot, timeout and drain options (``host``, ``port``,
+    ``max_connections``, ``request_timeout``, ``idle_timeout``,
+    ``drain_timeout``, ``chunk_threshold``, ``clock``, ``reuse_port``,
+    ``listen_sock``) are the shell's and pass straight through.
+    """
 
     def __init__(
         self,
         gateway: OriginGateway,
         engine: DeltaServer | None = None,
         *,
-        host: str = "127.0.0.1",
-        port: int = 0,
         mode: str = "delta",
-        max_connections: int = PAPER_CONNECTION_LIMIT,
-        request_timeout: float = 30.0,
-        idle_timeout: float = 30.0,
-        drain_timeout: float = 5.0,
-        chunk_threshold: int = 16 * 1024,
         executor: DeltaExecutor | None = None,
         resilience: ResilientOrigin | None = None,
-        clock: Callable[[], float] | None = None,
         metrics: MetricsRegistry | None = None,
-        reuse_port: bool = False,
-        listen_sock: socket.socket | None = None,
         router: FleetRouter | None = None,
+        **shell_options: object,
     ) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         if mode == "delta" and engine is None:
             raise ValueError("delta mode requires a DeltaServer engine")
-        if max_connections < 1:
-            raise ValueError("max_connections must be >= 1")
+        super().__init__(
+            self.handle,
+            health=self.health,
+            metrics_lines=self.metrics_lines,
+            stamp=self.stamp,
+            # Loopback peer port: forwarded intra-fleet requests and the
+            # supervisor's health/metrics scrapes arrive here, through
+            # the identical connection handling (slots, stats, timeouts).
+            loopback_ports=(
+                (router.config.internal_port,) if router is not None else ()
+            ),
+            # One observability sink for the whole stack: prefer the
+            # engine's registry (build_server shares it with the resilience
+            # policy) so /__metrics__ renders every layer in one pass.
+            metrics=metrics
+            or (engine.metrics if engine is not None else MetricsRegistry()),
+            **shell_options,  # type: ignore[arg-type]
+        )
         self.gateway = gateway
         self.engine = engine
         self.resilience = resilience
         self.mode = mode
-        self.max_connections = max_connections
-        self.stats = ServeStats()
-        # One observability sink for the whole stack: prefer the engine's
-        # registry (build_server shares it with the resilience policy) so
-        # /__metrics__ renders every layer's histograms in one pass.
-        self.metrics = metrics or (
-            engine.metrics if engine is not None else MetricsRegistry()
-        )
-        self.clock = clock or time.monotonic
-        # Trace ids: a short random run prefix plus a sequence number, so
-        # ids are unique across restarts but cheap and log-sortable.
-        self._trace_prefix = f"{random.getrandbits(32):08x}"
-        self._trace_seq = itertools.count(1)
-        self._host = host
-        self._port = port
-        self._request_timeout = request_timeout
-        self._idle_timeout = idle_timeout
-        self._drain_timeout = drain_timeout
-        self._chunk_threshold = chunk_threshold
+        self.router = router
+        self.stats = self.serve_stats
         # The server owns its executor (shuts it down on close), whether
         # constructed here or handed in.
         self._executor = executor or DeltaExecutor("thread")
-        self._slots = asyncio.Semaphore(max_connections)
-        self._tasks: set[asyncio.Task] = set()
-        self._server: asyncio.base_events.Server | None = None
-        self._closing = False
-        self._closed = False
-        # -- fleet wiring (all optional; single-process serving unchanged) --
-        self._reuse_port = reuse_port
-        self._listen_sock = listen_sock
-        self.router = router
-        self._internal_server: asyncio.base_events.Server | None = None
-        #: populated by close(): {"in_flight", "cancelled", "seconds"}
-        self.drain_report: dict | None = None
-
-    # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """``(host, port)`` actually bound (resolves ephemeral port 0)."""
-        if self._server is None:
-            raise RuntimeError("server not started")
-        return self._server.sockets[0].getsockname()[:2]
-
-    @property
-    def port(self) -> int:
-        return self.address[1]
-
-    async def start(self) -> None:
-        if self._listen_sock is not None:
-            # Fleet parent-acceptor mode: accept from the supervisor's
-            # inherited listening socket (shared across every worker).
-            self._server = await asyncio.start_server(
-                self._client_connected, sock=self._listen_sock
-            )
-        elif self._reuse_port:
-            # Fleet SO_REUSEPORT mode: every worker binds the same
-            # address; the kernel spreads incoming connections.
-            self._server = await asyncio.start_server(
-                self._client_connected,
-                self._host,
-                self._port,
-                reuse_port=True,
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._client_connected, self._host, self._port
-            )
-        if self.router is not None:
-            # Loopback peer port: forwarded intra-fleet requests and the
-            # supervisor's health/metrics scrapes arrive here, through
-            # the identical connection handler (slots, stats, timeouts).
-            self._internal_server = await asyncio.start_server(
-                self._client_connected,
-                "127.0.0.1",
-                self.router.config.internal_port,
-            )
-        self.stats.started_at = self.clock()
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        with contextlib.suppress(asyncio.CancelledError):
-            await self._server.serve_forever()
 
     async def close(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight, then cancel.
+        """Drain the shell, then release the executor, peers and store.
 
         Idempotent — a signal-driven drain racing the ``async with``
         exit path must not double-drain or double-close the store.
         """
-        if self._closed:
+        if self.closing:
             return
-        self._closed = True
-        self._closing = True
-        drain_started = self.clock()
-        in_flight = len(self._tasks)
-        cancelled = 0
-        for server in (self._server, self._internal_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
+        await super().close()
         if self.router is not None:
-            # Drop parked peer-pool connections first: a peer draining in
-            # parallel counts our idle keep-alives as its in-flight work,
-            # and two workers waiting on each other's parked connections
-            # would both burn the full drain timeout.
-            await self.router.close()
-        if self._tasks:
-            _, pending = await asyncio.wait(
-                set(self._tasks), timeout=self._drain_timeout
-            )
-            cancelled = len(pending)
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+            self.router.close()
         self._executor.shutdown()
         if self.engine is not None:
             # Flush + close the persistent store (no-op without one;
             # engine.close() is itself idempotent).
             self.engine.close()
-        self.drain_report = {
-            "in_flight": in_flight,
-            "cancelled": cancelled,
-            "seconds": round(self.clock() - drain_started, 4),
-        }
 
-    async def __aenter__(self) -> "DeltaHTTPServer":
-        await self.start()
-        return self
+    # -- the handler -----------------------------------------------------------
 
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()
-
-    # -- connection handling ---------------------------------------------------
-
-    def _client_connected(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.ensure_future(self._serve_connection(reader, writer))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        if self._closing or self._slots.locked():
-            # All connection slots are taken: turn the connection away
-            # (the DES capacity model's rejection path) instead of queueing.
-            wire = serialize_response(
-                Response(status=503, body=b"connection slots exhausted"),
-                keep_alive=False,
-            )
-            self.stats.on_connection_rejected(len(wire))
-            with contextlib.suppress(Exception):
-                writer.write(wire)
-                await writer.drain()
-            writer.close()
-            return
-        await self._slots.acquire()
-        self.stats.on_connection_open()
+    async def handle(self, request: Request) -> Response:
+        now = self.clock()
+        if self.router is not None:
+            if not request.headers.get(HEADER_FLEET_FORWARDED):
+                owner = self.router.owner_for_url(request.url)
+                if owner != self.router.worker_id:
+                    try:
+                        # Returned verbatim: the owner already stamped
+                        # Server/X-Served-At/digest headers; re-stamping
+                        # here would break client-side byte verification.
+                        return await self.router.forward(owner, request)
+                    except PeerUnavailable:
+                        # Same retryable contract as slot exhaustion; the
+                        # owner is mid-restart and will be back shortly.
+                        response = Response(
+                            status=503, body=b"fleet peer unavailable"
+                        )
+                        response.headers.set(
+                            HEADER_FLEET_WORKER, str(self.router.worker_id)
+                        )
+                        return response
+            self.router.note_local(request)
         try:
-            await self._request_loop(reader, writer)
-        finally:
-            self._slots.release()
-            self.stats.on_connection_close()
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _request_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            try:
-                parsed = await asyncio.wait_for(
-                    read_request(reader), self._idle_timeout
+            if self.mode == "plain":
+                fetch = (
+                    self.resilience.fetch_sync
+                    if self.resilience is not None
+                    else self.gateway.fetch_sync
                 )
-            except (asyncio.TimeoutError, ConnectionError):
-                return
-            except ProtocolError as exc:
-                self.stats.protocol_errors += 1
-                # The peer may already be gone (half-closed socket mid
-                # error) — failing to deliver the 400 is not an event.
-                with contextlib.suppress(ConnectionError, OSError):
-                    await self._write(
-                        writer,
-                        Response(status=exc.status, body=str(exc).encode()),
-                        keep_alive=False,
-                    )
-                return
-            if parsed is None:
-                return  # clean EOF
-            keep_alive = await self._serve_one(writer, parsed)
-            if not keep_alive:
-                return
-
-    def _next_trace_id(self) -> str:
-        return f"{self._trace_prefix}-{next(self._trace_seq):06x}"
-
-    async def _serve_one(
-        self, writer: asyncio.StreamWriter, parsed: ParsedRequest
-    ) -> bool:
-        self.stats.requests += 1
-        self.stats.bytes_in += parsed.wire_bytes
-        # Trace id: honour a client-supplied X-Trace-Id, mint one
-        # otherwise; the request carries it through gateway and engine,
-        # and the response echoes it so the client can correlate a slow
-        # answer with the server-side stage timings recorded under it.
-        trace_id = parsed.request.headers.get(HEADER_TRACE_ID) or self._next_trace_id()
-        parsed.request.headers.set(HEADER_TRACE_ID, trace_id)
-        started = self.clock()
-        try:
-            response = await asyncio.wait_for(
-                self._dispatch(parsed.request), self._request_timeout
-            )
-        except asyncio.TimeoutError:
-            # The worker may still be running; the engine lock keeps any
-            # late mutation consistent — only this response is abandoned.
-            self.stats.timeouts += 1
-            response = Response(status=504, body=b"request timed out")
+                response = await self._executor.run(fetch, request, now)
+            else:
+                assert self.engine is not None
+                response = await self._executor.run(
+                    self.engine.handle, request, now
+                )
         except OriginUnavailable as exc:
             # Plain mode has no base-file to fall back on (in delta mode
             # the engine degrades before this propagates): answer 502.
+            logger.warning("origin unavailable for %s: %s", request.url, exc)
             response = Response(status=502, body=b"origin unavailable")
             response.headers.set(HEADER_DEGRADED, "origin-unavailable")
-            logger.warning(
-                "origin unavailable for %s: %s", parsed.request.url, exc
-            )
-        except Exception as exc:
-            # Defensive: an engine bug must cost one response, not the
-            # server — but its cause is classified and kept, not discarded.
-            self.stats.on_exception(exc)
-            logger.exception("unhandled error serving %s", parsed.request.url)
-            response = Response(status=500, body=b"internal error")
-        response.headers.set(HEADER_TRACE_ID, trace_id)
-        keep_alive = parsed.keep_alive and not self._closing
-        try:
-            await self._write(
-                writer, response, keep_alive=keep_alive,
-                latency=self.clock() - started,
-            )
-        except ConnectionError:
-            return False
-        return keep_alive
-
-    # -- dispatch --------------------------------------------------------------
-
-    async def _dispatch(self, request: Request) -> Response:
-        now = self.clock()
-        _, remainder = split_server(request.url)
+            return response
+        self.stamp(response, now)
+        digest = response.headers.get(HEADER_BODY_DIGEST)
         if (
-            self.router is not None
-            and remainder not in (HEALTH_PATH, METRICS_PATH)
-            and not request.headers.get(HEADER_FLEET_FORWARDED)
+            digest is not None
+            and response.status == 200
+            and response.cachable
+            and request.headers.get(HEADER_IF_NONE_MATCH) == digest
         ):
-            owner = self.router.owner_for_url(request.url)
-            if owner != self.router.worker_id:
-                try:
-                    # Returned verbatim: the owner already stamped
-                    # Server/X-Served-At/digest headers; re-stamping here
-                    # would break client-side byte verification.
-                    return await self.router.forward(owner, request)
-                except PeerUnavailable:
-                    # Same retryable contract as slot exhaustion; the
-                    # owner is mid-restart and will be back shortly.
-                    response = Response(
-                        status=503, body=b"fleet peer unavailable"
-                    )
-                    response.headers.set(
-                        HEADER_FLEET_WORKER, str(self.router.worker_id)
-                    )
-                    return response
-            self.router.note_local(request)
-        elif self.router is not None and request.headers.get(
-            HEADER_FLEET_FORWARDED
-        ):
-            self.router.note_local(request)
-        if remainder == HEALTH_PATH:
-            response = self._health_response()
-        elif remainder == METRICS_PATH:
-            response = self._metrics_response(now)
-        elif self.mode == "plain":
-            fetch = (
-                self.resilience.fetch_sync
-                if self.resilience is not None
-                else self.gateway.fetch_sync
-            )
-            response = await self._executor.run(fetch, request, now)
-        else:
-            assert self.engine is not None
-            response = await self._executor.run(self.engine.handle, request, now)
+            # Checksum revalidation: the caller (a proxy-cache with a
+            # TTL-expired copy) already holds these exact bytes.  304
+            # keeps the identifying headers — digest, base-file ref,
+            # cachability markers — but sends no body, so a base-file
+            # refresh costs headers instead of the full transfer.
+            return Response(status=304, headers=response.headers.copy())
+        return response
+
+    def stamp(self, response: Response, now: float | None = None) -> None:
+        """Identity headers on every answer this worker itself produced."""
+        now = self.clock() if now is None else now
         response.headers.set("Server", SERVER_SOFTWARE)
         response.headers.set(HEADER_SERVED_AT, f"{now:.6f}")
         if self.router is not None:
@@ -446,30 +248,15 @@ class DeltaHTTPServer:
             # Deltas carry their target checksum in the wire payload; every
             # other body gets an integrity tag so clients can verify
             # byte-for-byte what they received.
-            digest = body_digest(response.body)
-            response.headers.set(HEADER_BODY_DIGEST, digest)
-            if (
-                response.status == 200
-                and response.cachable
-                and request.headers.get(HEADER_IF_NONE_MATCH) == digest
-            ):
-                # Checksum revalidation: the caller (a proxy-cache with a
-                # TTL-expired copy) already holds these exact bytes.  304
-                # keeps the identifying headers — digest, base-file ref,
-                # cachability markers — but sends no body, so a base-file
-                # refresh costs headers instead of the full transfer.
-                not_modified = Response(status=304, headers=response.headers.copy())
-                return not_modified
-        return response
+            response.headers.set(HEADER_BODY_DIGEST, body_digest(response.body))
 
-    def _health_response(self) -> Response:
+    async def health(self) -> dict:
         """``/__health__``: breaker, quarantine, and degradation report.
 
         Built entirely from lock-cheap snapshots (never the engine lock,
         which is held across origin fetches), so the probe answers even
         while the origin is down and workers are mid-backoff.
         """
-        self.stats.health_checks += 1
         breaker_state = (
             self.resilience.breaker.state if self.resilience is not None else None
         )
@@ -479,16 +266,11 @@ class DeltaHTTPServer:
         healthy = (breaker_state in (None, CLOSED)) and not (
             engine_health and engine_health["quarantined"]
         )
-        payload = {
+        return {
             "status": "ok" if healthy else "degraded",
             "mode": self.mode,
-            "closing": self._closing,
-            "connections": {
-                "active": self.stats.active_connections,
-                "peak": self.stats.peak_connections,
-                "rejected": self.stats.connections_rejected,
-                "slots": self.max_connections,
-            },
+            "closing": self.closing,
+            "connections": self.connections(),
             "requests": self.stats.requests,
             "degraded": {
                 "stale": self.stats.degraded_stale,
@@ -501,139 +283,70 @@ class DeltaHTTPServer:
             "engine": engine_health,
             "fleet": self.router.snapshot() if self.router is not None else None,
         }
-        response = Response(
-            status=200, body=json.dumps(payload, sort_keys=True).encode()
-        )
-        response.headers.set("Content-Type", "application/json")
-        return response
 
-    def _metrics_response(self, now: float) -> Response:
+    async def metrics_lines(self) -> list[str]:
         """``/__metrics__``: the whole stack in Prometheus text format.
 
         One render pass over (a) the shared registry — engine stage
         histograms, resilience attempt/backoff timings — and (b) the
-        scalar counters of the serve stats, engine, gateway, and breaker,
-        materialized as exposition lines at read time so there is no
-        double bookkeeping on the hot path.
+        scalar counters of the serve stats, engine, store, fleet router,
+        gateway, and breaker, materialized at read time.
         """
-        extra = self.stats.prometheus_lines(now)
+        lines = self.metrics.lines() + self.stats.prometheus_lines(self.clock())
         if self.engine is not None:
             stats = self.engine.stats
-            engine_counters = [
-                ("requests", stats.requests),
-                ("direct_bytes", stats.direct_bytes),
-                ("sent_bytes", stats.sent_bytes),
-                ("deltas_served", stats.deltas_served),
-                ("full_served", stats.full_served),
-                ("passthrough", stats.passthrough),
-                ("base_files_served", stats.base_files_served),
-                ("base_file_bytes", stats.base_file_bytes),
-                ("group_rebases", stats.group_rebases),
-                ("basic_rebases", stats.basic_rebases),
-                ("stale_served", stats.stale_served),
-                ("origin_unavailable", stats.origin_unavailable),
-                ("quarantines", stats.quarantines),
-                ("integrity_failures", stats.integrity_failures),
-                ("encode_failures", stats.encode_failures),
-                ("quarantine_recoveries", stats.quarantine_recoveries),
-                ("commit_conflicts", stats.commit_conflicts),
-                ("commit_fallbacks", stats.commit_fallbacks),
-            ]
-            for name, value in engine_counters:
-                full = f"repro_engine_{name}_total"
-                extra.append(f"# TYPE {full} counter")
-                extra.append(f"{full} {value}")
-            extra.append("# TYPE repro_engine_classes gauge")
-            extra.append(f"repro_engine_classes {len(self.engine.grouper.classes)}")
+            lines += scalar_lines(
+                "counter",
+                ((name, "", getattr(stats, name)) for name in STAT_FIELDS),
+                prefix="repro_engine_",
+                suffix="_total",
+            )
+            lines += scalar_lines(
+                "gauge",
+                [("repro_engine_classes", "", len(self.engine.grouper.classes))],
+            )
             store = self.engine.store_hooks.snapshot()
             if store is not None:
-                store_counters = [
-                    ("journal_records", store["journal_records"]),
-                    ("commits", store["commits"]),
-                    ("full_records", store["full_records"]),
-                    ("delta_records", store["delta_records"]),
-                    ("history_evictions", store["history_evictions"]),
-                    ("compactions", store["compactions"]),
-                ]
-                for name, value in store_counters:
-                    full = f"repro_store_{name}_total"
-                    extra.append(f"# TYPE {full} counter")
-                    extra.append(f"{full} {value}")
-                store_gauges = [
-                    ("pack_bytes", store["pack_bytes"]),
-                    ("live_pack_bytes", store["live_pack_bytes"]),
-                    ("garbage_bytes", store["garbage_bytes"]),
-                    ("journal_bytes", store["journal_bytes"]),
-                    ("classes", store["classes"]),
-                    ("max_chain_length", store["max_chain_length"]),
-                    ("snapshot_every", store["snapshot_every"]),
-                    ("generation", store["generation"]),
-                    ("recovery_ms", store["recovery_ms"]),
-                    ("warm_start", int(store["warm_start"])),
-                    ("rehydrated_classes", store["rehydrated_classes"]),
-                ]
-                for name, value in store_gauges:
-                    full = f"repro_store_{name}"
-                    extra.append(f"# TYPE {full} gauge")
-                    extra.append(f"{full} {value}")
+                lines += scalar_lines(
+                    "counter",
+                    ((name, "", store[name]) for name in _STORE_COUNTERS),
+                    prefix="repro_store_",
+                    suffix="_total",
+                )
+                lines += scalar_lines(
+                    "gauge",
+                    ((name, "", store[name]) for name in _STORE_GAUGES),
+                    prefix="repro_store_",
+                )
         if self.router is not None:
             fleet = self.router.snapshot()
-            fleet_counters = [
-                ("local_served", fleet["local_served"]),
-                ("served_for_peers", fleet["served_for_peers"]),
-                ("forwarded", fleet["forwarded"]),
-                ("forward_failures", fleet["forward_failures"]),
-            ]
-            for name, value in fleet_counters:
-                full = f"repro_fleet_{name}_total"
-                extra.append(f"# TYPE {full} counter")
-                extra.append(f"{full} {value}")
-        gw = self.gateway.stats
-        gateway_counters = [
-            ("fetches", gw.fetches),
-            ("faults_injected", gw.faults_injected),
-            ("hook_failures", gw.hook_failures),
-            ("resets_injected", gw.resets_injected),
-            ("corruptions_injected", gw.corruptions_injected),
-        ]
-        for name, value in gateway_counters:
-            full = f"repro_origin_gateway_{name}_total"
-            extra.append(f"# TYPE {full} counter")
-            extra.append(f"{full} {value}")
+            lines += scalar_lines(
+                "counter",
+                ((name, "", fleet[name]) for name in _FLEET_COUNTERS),
+                prefix="repro_fleet_",
+                suffix="_total",
+            )
+        gateway = self.gateway.stats
+        lines += scalar_lines(
+            "counter",
+            ((name, "", getattr(gateway, name)) for name in _GATEWAY_COUNTERS),
+            prefix="repro_origin_gateway_",
+            suffix="_total",
+        )
         if self.resilience is not None:
             breaker = self.resilience.breaker.snapshot()
-            extra.append("# TYPE repro_breaker_state gauge")
+            lines.append("# TYPE repro_breaker_state gauge")
             for state in ("closed", "open", "half_open"):
                 flag = 1 if breaker["state"] == state else 0
-                extra.append(f'repro_breaker_state{{state="{state}"}} {flag}')
-            extra.append("# TYPE repro_breaker_opened_total counter")
-            extra.append(f"repro_breaker_opened_total {breaker['opened']}")
-            extra.append("# TYPE repro_breaker_reclosed_total counter")
-            extra.append(f"repro_breaker_reclosed_total {breaker['reclosed']}")
-        response = Response(status=200, body=self.metrics.render(extra).encode())
-        response.headers.set("Content-Type", PROMETHEUS_CONTENT_TYPE)
-        return response
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        response: Response,
-        *,
-        keep_alive: bool,
-        latency: float | None = None,
-    ) -> None:
-        chunked = len(response.body) >= self._chunk_threshold
-        started = time.perf_counter()
-        wire = serialize_response(response, keep_alive=keep_alive, chunked=chunked)
-        writer.write(wire)
-        await writer.drain()
-        self.metrics.observe(
-            "server_stage_seconds",
-            time.perf_counter() - started,
-            {"stage": "write"},
-            help="serve-layer stage durations (serialize + drain)",
-        )
-        self.stats.on_response(response, len(wire), latency)
+                lines.append(f'repro_breaker_state{{state="{state}"}} {flag}')
+            lines += scalar_lines(
+                "counter",
+                [
+                    ("repro_breaker_opened_total", "", breaker["opened"]),
+                    ("repro_breaker_reclosed_total", "", breaker["reclosed"]),
+                ],
+            )
+        return lines
 
 
 def build_server(

@@ -22,6 +22,7 @@ from repro.metrics import (
     format_sample,
     histogram_lines,
     render_table,
+    scalar_lines,
 )
 
 
@@ -48,6 +49,8 @@ class ServeStats:
     degraded_stale: int = 0
     degraded_unavailable: int = 0
     health_checks: int = 0
+    #: ``/__metrics__`` scrapes (with ``health_checks``: every admin probe)
+    metrics_scrapes: int = 0
     status_counts: Counter = field(default_factory=Counter)
     #: unhandled dispatch exceptions, classified by exception type name
     exception_counts: Counter = field(default_factory=Counter)
@@ -203,11 +206,7 @@ class ServeStats:
             ("repro_health_checks_total", "GET /__health__ probes",
              self.health_checks),
         ]
-        lines: list[str] = []
-        for name, help_text, value in counters:
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} counter")
-            lines.append(format_sample(name, (), value))
+        lines = scalar_lines("counter", counters)
         lines.append("# TYPE repro_responses_by_status_total counter")
         for status in sorted(self.status_counts):
             lines.append(
@@ -226,19 +225,13 @@ class ServeStats:
                     self.exception_counts[name],
                 )
             )
-        lines.append("# TYPE repro_active_connections gauge")
-        lines.append(
-            format_sample("repro_active_connections", (), self.active_connections)
-        )
-        lines.append("# TYPE repro_peak_connections gauge")
-        lines.append(
-            format_sample("repro_peak_connections", (), self.peak_connections)
-        )
+        gauges: list[tuple[str, str, float]] = [
+            ("repro_active_connections", "", self.active_connections),
+            ("repro_peak_connections", "", self.peak_connections),
+        ]
         if now is not None and self.started_at is not None:
-            lines.append("# TYPE repro_uptime_seconds gauge")
-            lines.append(
-                format_sample("repro_uptime_seconds", (), now - self.started_at)
-            )
+            gauges.append(("repro_uptime_seconds", "", now - self.started_at))
+        lines.extend(scalar_lines("gauge", gauges))
         lines.append("# TYPE repro_request_latency_seconds histogram")
         lines.extend(
             histogram_lines("repro_request_latency_seconds", self.latencies.histogram)

@@ -200,15 +200,13 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.inc("requests_total", help="requests handled")
         registry.observe("stage_seconds", 0.02, {"stage": "encode"})
-        text = registry.render(extra_lines=["repro_custom_gauge 7"])
-        assert text.endswith("\n")
-        assert "# HELP repro_requests_total requests handled" in text
-        assert "# TYPE repro_requests_total counter" in text
-        assert "repro_requests_total 1" in text
-        assert "# TYPE repro_stage_seconds histogram" in text
-        assert 'repro_stage_seconds_bucket{stage="encode",le="+Inf"} 1' in text
-        assert 'repro_stage_seconds_count{stage="encode"} 1' in text
-        assert "repro_custom_gauge 7" in text
+        lines = registry.lines()
+        assert "# HELP repro_requests_total requests handled" in lines
+        assert "# TYPE repro_requests_total counter" in lines
+        assert "repro_requests_total 1" in lines
+        assert "# TYPE repro_stage_seconds histogram" in lines
+        assert 'repro_stage_seconds_bucket{stage="encode",le="+Inf"} 1' in lines
+        assert 'repro_stage_seconds_count{stage="encode"} 1' in lines
 
     def test_content_type_constant(self):
         assert PROMETHEUS_CONTENT_TYPE.startswith("text/plain; version=0.0.4")

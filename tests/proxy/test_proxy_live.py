@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from repro.core.config import AnonymizationConfig, DeltaServerConfig
-from repro.http.messages import HEADER_IF_NONE_MATCH, Request
+from repro.http.messages import HEADER_IF_NONE_MATCH, HEADER_TRACE_ID, Request
 from repro.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.origin.server import OriginServer
 from repro.origin.site import SiteSpec, SyntheticSite
@@ -244,6 +244,63 @@ class TestObservability:
                     assert payload["status"] == "ok"
                     assert payload["cache"]["hits"] == 1
                     assert payload["upstream"]["port"] == server.address[1]
+
+        asyncio.run(main())
+
+
+class TestTracePropagation:
+    def test_every_response_echoes_its_own_request_trace_id(self):
+        """Miss, hit and revalidated answers each carry the id of the
+        request they answer — a cache hit used to replay the id of the
+        request that populated the entry — and the proxy forwards that id
+        upstream unchanged, so a miss has one id on both hops."""
+
+        async def main():
+            clock = [1000.0]
+            async with make_server() as server:
+                upstream_saw = []
+                engine_handle = server.engine.handle
+
+                def recording(request, now):
+                    upstream_saw.append(request.headers.get(HEADER_TRACE_ID))
+                    return engine_handle(request, now)
+
+                async with ProxyHTTPServer(
+                    *server.address, ttl=10.0, clock=lambda: clock[0]
+                ) as proxy:
+                    base_url = await warmed_base_url(server, proxy)
+                    server.engine.handle = recording
+
+                    async def get(url, trace_id=None, user=None):
+                        headers = {HEADER_TRACE_ID: trace_id} if trace_id else None
+                        response = await fetch(
+                            *proxy.address, url, user=user, headers=headers
+                        )
+                        assert response.status == 200
+                        return (
+                            response.headers.get(HEADER_PROXY_CACHE),
+                            response.headers.get(HEADER_TRACE_ID),
+                        )
+
+                    assert await get(base_url, "client-0") == ("miss", "client-0")
+                    assert await get(base_url, "client-1") == ("hit", "client-1")
+                    clock[0] += 11.0  # past the TTL
+                    assert await get(base_url, "client-2") == (
+                        "revalidated", "client-2",
+                    )
+                    # Only the miss and the revalidation went upstream,
+                    # each under its client's id.
+                    assert upstream_saw == ["client-0", "client-2"]
+                    # No id from the client: the proxy mints one per
+                    # request, and the upstream hop carries the same one.
+                    state, on_hit = await get(base_url)
+                    assert state == "hit" and on_hit
+                    assert on_hit not in ("client-0", "client-1", "client-2")
+                    site = server.gateway.origin.site(SITE)
+                    doc_url = site.url_for(site.all_pages()[0])
+                    state, on_miss = await get(doc_url, user="u1")
+                    assert state == "miss" and on_miss and on_miss != on_hit
+                    assert upstream_saw[2:] == [on_miss]
 
         asyncio.run(main())
 
