@@ -4,9 +4,10 @@ The seed engine took one global lock across the whole request pipeline —
 origin fetch included — so N worker threads convoyed into an origin-bound
 single file line.  The sharded engine (per-class locks, off-lock origin
 fetch, snapshot-encode-commit delta generation) lets requests for
-different classes overlap.  This benchmark drives both modes of the
-*same* engine code with N closed-loop threads over M document classes and
-a configurable origin delay, and reports:
+different classes overlap.  This benchmark drives the *same* engine code
+both ways — as it is, and behind one caller-side lock held across
+``handle`` (exactly the seed's discipline) — with N closed-loop threads
+over M document classes and a configurable origin delay, and reports:
 
 * throughput (requests/s) and latency percentiles (p50/p99) per mode;
 * the lock-wait share of total pipeline time (from the per-request
@@ -45,7 +46,11 @@ if __name__ == "__main__":  # allow `python benchmarks/bench_...py` directly
         sys.path.insert(0, str(_SRC))
 
 from repro.core.config import AnonymizationConfig, DeltaServerConfig
-from repro.core.delta_server import DeltaServer, parse_stage_times
+from repro.core.delta_server import (
+    DeltaServer,
+    format_stage_times,
+    parse_stage_times,
+)
 from repro.http.messages import (
     HEADER_ACCEPT_DELTA,
     HEADER_STAGE_TIMES,
@@ -128,10 +133,31 @@ def make_engine(
 
     config = DeltaServerConfig(
         anonymization=AnonymizationConfig(documents=2, min_count=1),
-        engine_mode=mode,
         seed=7,
     )
-    return DeltaServer(fetch, config)
+    engine = DeltaServer(fetch, config)
+    if mode == "serialized":
+        serialize(engine)
+    return engine
+
+
+def serialize(engine: DeltaServer) -> None:
+    """One lock across the whole pipeline, origin fetch included: the
+    paper's single-CPU delta-server.  The wait for it joins the
+    response's ``lock_wait`` stage so both rows report the same thing."""
+    lock, handle = threading.Lock(), engine.handle
+
+    def locked(request: Request, now: float) -> Response:
+        entered = time.perf_counter()
+        with lock:
+            waited = time.perf_counter() - entered
+            response = handle(request, now)
+        stages = parse_stage_times(response.headers.get(HEADER_STAGE_TIMES))
+        stages["lock_wait"] = stages.get("lock_wait", 0.0) + waited
+        response.headers.set(HEADER_STAGE_TIMES, format_stage_times(stages))
+        return response
+
+    engine.handle = locked  # type: ignore[method-assign]
 
 
 def _request(url: str, index: int, user: str, ref: str | None) -> Request:

@@ -6,7 +6,10 @@ printing each offending line, if anything is malformed:
 
 * every non-blank line must be a ``# HELP``/``# TYPE`` comment or a
   ``name{label="v",...} value [timestamp]`` sample;
-* ``# TYPE`` values must be one of the known metric kinds;
+* ``# TYPE`` values must be one of the known metric kinds, a family is
+  typed at most once, and a ``counter`` family's name ends in ``_total``;
+* every sample belongs to a family with a ``# TYPE`` (for a histogram,
+  the name without ``_bucket``/``_sum``/``_count``);
 * histogram families must be internally consistent — cumulative
   ``_bucket`` counts monotone in ``le`` order, ending at an ``+Inf``
   bucket that equals ``_count``.
@@ -32,6 +35,7 @@ SAMPLE_RE = re.compile(
 )
 LABEL_RE = re.compile(r'^[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\["\\n])*"$')
 KNOWN_TYPES = {"counter", "gauge", "histogram", "summary", "untyped"}
+HISTOGRAM_SUFFIXES = ("_bucket", "_sum", "_count")
 
 
 def _split_labels(raw: str) -> list[str] | None:
@@ -83,6 +87,12 @@ def check(text: str) -> list[str]:
                     problems.append(
                         f"line {lineno}: unknown TYPE {payload!r} for {name}"
                     )
+                if name in declared_types:
+                    problems.append(f"line {lineno}: second TYPE for {name}")
+                if payload == "counter" and not name.endswith("_total"):
+                    problems.append(
+                        f"line {lineno}: counter {name} does not end in _total"
+                    )
                 declared_types[name] = payload
             continue
         match = SAMPLE_RE.match(line)
@@ -90,6 +100,12 @@ def check(text: str) -> list[str]:
             problems.append(f"line {lineno}: malformed sample: {line!r}")
             continue
         name = match.group("name")
+        if name not in declared_types and not any(
+            name.endswith(suffix)
+            and declared_types.get(name[: -len(suffix)]) in ("histogram", "summary")
+            for suffix in HISTOGRAM_SUFFIXES
+        ):
+            problems.append(f"line {lineno}: sample of untyped family: {line!r}")
         raw_labels = match.group("labels")
         labels: dict[str, str] = {}
         if raw_labels is not None:

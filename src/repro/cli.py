@@ -225,7 +225,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     site = _build_site(args)
     config = DeltaServerConfig(
         anonymization=AnonymizationConfig(documents=args.anon_n, min_count=args.anon_m),
-        engine_mode=args.engine_mode,
     )
     fault_plan = (
         FaultPlan.parse(args.fault_plan, seed=args.fault_seed)
@@ -345,7 +344,6 @@ def _fleet_worker_passthrough(args: argparse.Namespace) -> list[str]:
         "--categories", args.categories,
         "--products", str(args.products),
         "--mode", args.mode,
-        "--engine-mode", args.engine_mode,
         "--max-connections", str(args.max_connections),
         "--request-timeout", str(args.request_timeout),
         "--drain-timeout", str(args.drain_timeout),
@@ -664,10 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="where delta generation runs")
     serve.add_argument("--executor-workers", type=int, default=None,
                        help="thread-pool size (default: min(64, 4 x cores))")
-    serve.add_argument("--engine-mode", default="sharded",
-                       choices=["sharded", "serialized"],
-                       help="engine concurrency model: per-class sharding "
-                            "(default) or one global lock (benchmark baseline)")
     serve.add_argument("--origin-latency", type=float, default=0.0,
                        help="injected origin fetch latency, seconds")
     serve.add_argument("--origin-jitter", type=float, default=0.0,

@@ -22,7 +22,6 @@ from repro.core.base_file import (
 )
 from repro.core.classes import ClassStats, DocumentClass
 from repro.core.config import (
-    ENGINE_MODES,
     AnonymizationConfig,
     BaseFileConfig,
     DeltaServerConfig,
@@ -46,7 +45,6 @@ __all__ = [
     "DeltaServer",
     "DeltaServerConfig",
     "DocumentClass",
-    "ENGINE_MODES",
     "EvictionVariant",
     "FirstResponsePolicy",
     "Grouper",

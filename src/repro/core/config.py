@@ -151,10 +151,6 @@ class AnonymizationConfig:
                 )
 
 
-#: valid values for :attr:`DeltaServerConfig.engine_mode`
-ENGINE_MODES = ("sharded", "serialized")
-
-
 @dataclass(frozen=True, slots=True)
 class DeltaServerConfig:
     """Top-level configuration of a :class:`~repro.core.delta_server.DeltaServer`."""
@@ -178,20 +174,11 @@ class DeltaServerConfig:
     storage_budget_bytes: int | None = None
     #: Deterministic seed for all randomized components.
     seed: int = 2002
-    #: Concurrency model: ``"sharded"`` (per-class locks, off-lock origin
-    #: fetch, snapshot-encode-commit delta generation) or ``"serialized"``
-    #: (one global lock held across the whole pipeline — the paper's
-    #: single-CPU delta-server, kept as the benchmark baseline).
-    engine_mode: str = "sharded"
     #: How many times a delta commit that lost a rebase race is retried
     #: against the new base version before falling back to a full response.
     commit_retries: int = 1
 
     def __post_init__(self) -> None:
-        if self.engine_mode not in ENGINE_MODES:
-            raise ValueError(
-                f"engine_mode must be one of {ENGINE_MODES}, got {self.engine_mode!r}"
-            )
         if self.commit_retries < 0:
             raise ValueError(
                 f"commit_retries must be >= 0, got {self.commit_retries}"

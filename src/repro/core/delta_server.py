@@ -30,8 +30,9 @@ Concurrency — the sharded engine
 --------------------------------
 
 The paper models a single-CPU delta-server; this engine is sharded for
-per-class concurrency instead (``engine_mode="serialized"`` restores the
-single-global-lock pipeline as a benchmark baseline):
+per-class concurrency instead (a caller that wants the single-CPU model
+holds one lock around :meth:`DeltaServer.handle`, as the concurrency
+benchmark's baseline does):
 
 * **The origin fetch runs under no engine lock.**  A slow (or retrying,
   backing-off) origin stalls only its own request, never other classes.
@@ -91,6 +92,7 @@ from repro.http.messages import (
     base_ref,
 )
 from repro.metrics.registry import MetricsRegistry
+from repro.metrics.stats import counter, stats_dict
 from repro.resilience.policy import OriginUnavailable
 from repro.store.hooks import StoreHooks
 from repro.url.rules import RuleBook
@@ -131,32 +133,30 @@ class ServerStats:
     quiesced and never lose increments while they run.
     """
 
-    requests: int = 0
-    #: bytes the origin produced — what a direct (no delta-server) deployment
-    #: would have sent.
-    direct_bytes: int = 0
-    #: bytes actually sent to clients for document responses.
-    sent_bytes: int = 0
-    deltas_served: int = 0
-    full_served: int = 0
-    passthrough: int = 0
-    base_files_served: int = 0
-    base_file_bytes: int = 0
-    group_rebases: int = 0
-    basic_rebases: int = 0
+    requests: int = counter("document requests the origin answered")
+    #: what a direct (no delta-server) deployment would have sent
+    direct_bytes: int = counter("document bytes the origin produced")
+    sent_bytes: int = counter("bytes sent to clients for document responses")
+    deltas_served: int = counter("documents answered with a delta")
+    full_served: int = counter("documents answered in full by the engine")
+    passthrough: int = counter("origin answers passed through untouched")
+    base_files_served: int = counter("base-file requests answered")
+    base_file_bytes: int = counter("base-file bytes sent")
+    group_rebases: int = counter("rebases on timeout + better candidate")
+    basic_rebases: int = counter("rebases on persistently large deltas")
     #: degraded answers while the origin was unavailable (stale base / 502)
-    stale_served: int = 0
-    origin_unavailable: int = 0
+    stale_served: int = counter("marked-stale base-files served as documents")
+    origin_unavailable: int = counter("requests with no origin and no base")
     #: self-healing: classes taken out of delta service, split by cause
-    quarantines: int = 0
-    integrity_failures: int = 0
-    encode_failures: int = 0
-    quarantine_recoveries: int = 0
+    quarantines: int = counter("classes taken out of delta service")
+    integrity_failures: int = counter("quarantines for a base checksum mismatch")
+    encode_failures: int = counter("quarantines for a failed encode")
+    quarantine_recoveries: int = counter("quarantined classes that re-adopted")
     #: snapshot-encode-commit: encodes abandoned because a rebase or
     #: storage release retired the snapshotted base version mid-encode …
-    commit_conflicts: int = 0
+    commit_conflicts: int = counter("encodes abandoned at commit revalidation")
     #: … and requests that ended in a full response because of it.
-    commit_fallbacks: int = 0
+    commit_fallbacks: int = counter("full responses after a commit conflict")
 
     @property
     def savings(self) -> float:
@@ -204,12 +204,6 @@ class DeltaServer:
         #: the pack/journal store; the default hooks are no-ops, so the
         #: engine is unchanged when persistence is off.
         self.store_hooks = store_hooks or StoreHooks()
-        # ``serialized`` restores the seed engine's single-writer
-        # discipline: one global lock held across the whole pipeline,
-        # origin fetch included.  The sharded mode (default) never takes
-        # it; see the module docstring for the sharded locking model.
-        self._serialized = self.config.engine_mode == "serialized"
-        self._global_lock = threading.Lock()
         # Quarantine membership has its own tiny lock so health probes
         # never wait behind a class lock mid-encode or a struggling
         # origin fetch.
@@ -340,27 +334,18 @@ class DeltaServer:
     def handle(self, request: Request, now: float) -> Response:
         """Process one client (or proxy-forwarded) request.
 
-        Thread-safe.  In the default ``sharded`` mode concurrent callers
-        for different classes proceed in parallel (see the module
-        docstring for the locking model); ``serialized`` mode funnels
-        every caller through one global lock, origin fetch included.
+        Thread-safe: concurrent callers for different classes proceed in
+        parallel (see the module docstring for the locking model).
 
         Each request's pipeline stages (lock wait, class lookup, origin
         fetch, encode, compress) are timed into the engine's metrics
         registry and attached to the response as ``X-Stage-Times`` so a
         slow request can be correlated (via ``X-Trace-Id``) with the
         stage that cost it.  ``lock_wait`` aggregates every wait of the
-        request — global lock in serialized mode; shard, class, and
-        commit lock acquisitions in sharded mode.
+        request — shard, class, and commit lock acquisitions.
         """
         timings: dict[str, float] = {"lock_wait": 0.0}
-        if self._serialized:
-            entered = perf_counter()
-            with self._global_lock:
-                timings["lock_wait"] += perf_counter() - entered
-                response = self._process(request, now, timings)
-        else:
-            response = self._process(request, now, timings)
+        response = self._process(request, now, timings)
         response.headers.set(HEADER_STAGE_TIMES, format_stage_times(timings))
         for stage, seconds in timings.items():
             self.metrics.observe(
@@ -489,27 +474,18 @@ class DeltaServer:
         """Self-healing and degradation state for the health endpoint.
 
         Deliberately avoids every engine lock (a class lock may be held
-        across an encode, and serialized mode holds the global lock
-        across origin fetches) so a health probe never blocks behind a
-        struggling origin; counters are weakly-consistent striped reads.
+        across an encode) so a health probe never blocks behind a busy
+        class; counters are weakly-consistent striped reads.
         """
         with self._health_lock:
             quarantined = sorted(self._quarantined)
-        stats = self.stats
         return {
             "classes": self.grouper.class_count(),
             "warm_start": self.rehydrated_classes > 0,
             "rehydrated_classes": self.rehydrated_classes,
             "store": self.store_hooks.snapshot(),
             "quarantined": quarantined,
-            "quarantines": stats.quarantines,
-            "quarantine_recoveries": stats.quarantine_recoveries,
-            "integrity_failures": stats.integrity_failures,
-            "encode_failures": stats.encode_failures,
-            "stale_served": stats.stale_served,
-            "origin_unavailable": stats.origin_unavailable,
-            "commit_conflicts": stats.commit_conflicts,
-            "commit_fallbacks": stats.commit_fallbacks,
+            **stats_dict(self.stats),
         }
 
     def close(self) -> None:

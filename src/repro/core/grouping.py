@@ -71,6 +71,7 @@ from repro.core.config import GroupingConfig
 from repro.core.sketch import MinHashSketcher, SketchIndex
 from repro.delta.light import LightEstimator
 from repro.metrics.registry import MetricsRegistry
+from repro.metrics.stats import counter
 from repro.url.parts import URLParts
 from repro.url.rules import RuleBook
 
@@ -83,14 +84,13 @@ ExactDelta = Callable[[DocumentClass, bytes], "int | None"]
 class GroupingStats:
     """Search diagnostics for Section VI-B's grouping evaluation."""
 
-    requests: int = 0
-    matched: int = 0
-    created: int = 0
-    manual: int = 0
-    total_tries: int = 0
-    #: sketch-index lookups that produced >= 1 candidate / none at all
-    sketch_hits: int = 0
-    sketch_misses: int = 0
+    requests: int = counter("classify calls (one per document request)")
+    matched: int = counter("new URLs the search grouped into an existing class")
+    created: int = counter("new URLs that founded a class")
+    manual: int = counter("new URLs placed by a manual (pinned) mapping")
+    total_tries: int = counter("candidate classes probed with a delta estimate")
+    sketch_hits: int = counter("LSH lookups that produced at least one candidate")
+    sketch_misses: int = counter("LSH lookups that produced no candidate")
     #: histogram: tries_needed -> count (successful matches only)
     tries_histogram: dict[int, int] = field(default_factory=dict)
 
@@ -510,29 +510,18 @@ class Grouper:
         return eligible
 
     def _note_sketch(self, candidates: int) -> None:
-        """Record one LSH lookup's outcome (stats + metrics families)."""
+        """Record one LSH lookup's outcome."""
         with self._stats_lock:
             if candidates:
                 self.stats.sketch_hits += 1
             else:
                 self.stats.sketch_misses += 1
-        if self._metrics is None:
-            return
-        if candidates:
-            self._metrics.inc(
-                "grouping_sketch_hits_total",
-                help="LSH candidate lookups that produced at least one candidate",
+        if self._metrics is not None:
+            self._metrics.observe(
+                "grouping_sketch_candidates",
+                candidates,
+                help="candidate classes returned per LSH sketch lookup",
             )
-        else:
-            self._metrics.inc(
-                "grouping_sketch_misses_total",
-                help="LSH candidate lookups that produced no candidate",
-            )
-        self._metrics.observe(
-            "grouping_sketch_candidates",
-            candidates,
-            help="candidate classes returned per LSH sketch lookup",
-        )
 
     def _probe_order(
         self, eligible: list[DocumentClass], rng: random.Random

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from repro.core.delta_server import DeltaServer
 from repro.fleet.partition import PartitionMap, owner_of_class_id
 from repro.http.messages import Request, Response
+from repro.metrics.stats import counter, stats_dict
 from repro.serve.aio import ConnectionPool, PeerUnavailable
 from repro.url.rules import RuleBook
 
@@ -68,6 +69,16 @@ class FleetWorkerConfig:
             raise ValueError("peer_ports must list every worker's internal port")
 
 
+@dataclass(slots=True)
+class RouterStats:
+    """One worker's routing counters (single event loop; plain ints are exact)."""
+
+    local_served: int = counter("requests this worker owned and served")
+    served_for_peers: int = counter("requests served for a forwarding peer")
+    forwarded: int = counter("requests relayed to the owning worker")
+    forward_failures: int = counter("forwards whose owner was unavailable")
+
+
 class FleetRouter:
     """Ownership decisions plus the forwarding data path for one worker."""
 
@@ -91,11 +102,7 @@ class FleetRouter:
             )
             for port in config.peer_ports
         ]
-        # -- counters (single event loop; plain ints are exact) --
-        self.local_served = 0
-        self.forwarded = 0
-        self.forward_failures = 0
-        self.served_for_peers = 0
+        self.stats = RouterStats()
 
     # -- ownership -------------------------------------------------------------
 
@@ -121,9 +128,9 @@ class FleetRouter:
     def note_local(self, request: Request) -> None:
         """Account a locally-served request (forwarded-in ones separately)."""
         if request.headers.get(HEADER_FLEET_FORWARDED):
-            self.served_for_peers += 1
+            self.stats.served_for_peers += 1
         else:
-            self.local_served += 1
+            self.stats.local_served += 1
 
     # -- forwarding ------------------------------------------------------------
 
@@ -141,9 +148,9 @@ class FleetRouter:
                 request, timeout=self.config.forward_timeout
             )
         except (PeerUnavailable, asyncio.TimeoutError) as exc:
-            self.forward_failures += 1
+            self.stats.forward_failures += 1
             raise PeerUnavailable(f"worker {owner} unavailable: {exc!r}") from exc
-        self.forwarded += 1
+        self.stats.forwarded += 1
         return parsed.response
 
     def close(self) -> None:
@@ -162,9 +169,6 @@ class FleetRouter:
             "worker_id": self.worker_id,
             "workers": self.config.workers,
             "partition": self.partition.snapshot(),
-            "local_served": self.local_served,
-            "served_for_peers": self.served_for_peers,
-            "forwarded": self.forwarded,
-            "forward_failures": self.forward_failures,
             "pooled_connections": sum(pool.parked for pool in self._peers),
+            **stats_dict(self.stats),
         }

@@ -43,6 +43,7 @@ from pathlib import Path
 from repro.fleet.aggregate import merge_expositions
 from repro.fleet.partition import PartitionMap
 from repro.http.messages import Request, Response
+from repro.metrics import counter, family_lines, stats_lines
 from repro.serve.aio import HEALTH_PATH, METRICS_PATH, ConnectionPool, ServerShell
 from repro.url.parts import split_server
 
@@ -127,6 +128,14 @@ class WorkerHandle:
         return self.process is not None and self.process.returncode is None
 
 
+@dataclass(slots=True)
+class FleetStats:
+    """Supervisor-level counters (single event loop)."""
+
+    restarts: int = counter("worker respawns, crash recovery and rolls alike")
+    scrape_failures: int = counter("worker health/metrics scrapes that failed")
+
+
 class FleetSupervisor:
     """Own the worker processes of one fleet (see module docstring)."""
 
@@ -139,8 +148,7 @@ class FleetSupervisor:
             else PartitionMap(config.workers)
         )
         self.handles: list[WorkerHandle] = []
-        self.restarts_total = 0
-        self.scrape_failures = 0
+        self.stats = FleetStats()
         self._reserve_sock: socket.socket | None = None
         self._listen_sock: socket.socket | None = None
         self._port: int | None = None
@@ -158,6 +166,10 @@ class FleetSupervisor:
         self._draining = False
         self._drain_done = asyncio.Event()
         self._roll_lock = asyncio.Lock()
+
+    @property
+    def restarts_total(self) -> int:
+        return self.stats.restarts
 
     # -- addresses -------------------------------------------------------------
 
@@ -399,7 +411,7 @@ class FleetSupervisor:
             if handle.rolling:
                 # Intentional stop (rolling restart): respawn immediately.
                 handle.restarts += 1
-                self.restarts_total += 1
+                self.stats.restarts += 1
                 continue
             handle.state = "restarting"
             if uptime >= self.config.stable_after:
@@ -412,7 +424,7 @@ class FleetSupervisor:
             await asyncio.sleep(backoff)
             backoff = min(backoff * 2, self.config.backoff_cap)
             handle.restarts += 1
-            self.restarts_total += 1
+            self.stats.restarts += 1
         handle.state = "stopped"
 
     # -- control file ----------------------------------------------------------
@@ -474,7 +486,7 @@ class FleetSupervisor:
                 "127.0.0.1", handle.internal_port, path, timeout=2.0
             )
         except Exception:
-            self.scrape_failures += 1
+            self.stats.scrape_failures += 1
             return None
 
     async def _health(self) -> dict:
@@ -532,28 +544,20 @@ class FleetSupervisor:
             for handle, scraped in zip(self.handles, scrapes)
             if scraped is not None and scraped.status == 200
         }
-        extra = [
-            "# TYPE repro_fleet_workers gauge",
-            f"repro_fleet_workers {self.config.workers}",
-            "# TYPE repro_fleet_workers_alive gauge",
-            f"repro_fleet_workers_alive {sum(h.alive for h in self.handles)}",
-            "# TYPE repro_fleet_restarts_total counter",
-            f"repro_fleet_restarts_total {self.restarts_total}",
-            "# TYPE repro_fleet_scrape_failures_total counter",
-            f"repro_fleet_scrape_failures_total {self.scrape_failures}",
-            "# TYPE repro_fleet_worker_up gauge",
-            "# TYPE repro_fleet_worker_restarts_total counter",
-            "# TYPE repro_fleet_worker_drain_seconds gauge",
-        ]
-        for handle in self.handles:
-            label = f'worker="{handle.worker_id}"'
-            extra.append(f"repro_fleet_worker_up{{{label}}} {int(handle.alive)}")
-            extra.append(
-                f"repro_fleet_worker_restarts_total{{{label}}} {handle.restarts}"
-            )
-            if handle.last_drain_seconds is not None:
-                extra.append(
-                    f"repro_fleet_worker_drain_seconds{{{label}}} "
-                    f"{handle.last_drain_seconds}"
-                )
+        extra = stats_lines(
+            self.stats,
+            "repro_fleet_",
+            gauges={
+                "workers": self.config.workers,
+                "workers_alive": sum(h.alive for h in self.handles),
+            },
+        )
+        for kind, name, read in (
+            ("gauge", "repro_fleet_worker_up", lambda h: int(h.alive)),
+            ("counter", "repro_fleet_worker_restarts_total", lambda h: h.restarts),
+            ("gauge", "repro_fleet_worker_drain_seconds",
+             lambda h: h.last_drain_seconds),
+        ):
+            per_worker = {h.worker_id: read(h) for h in self.handles}
+            extra += family_lines(kind, name, per_worker, label="worker")
         return merge_expositions(parts, "\n".join(extra)).splitlines()

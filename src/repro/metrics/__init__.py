@@ -9,9 +9,16 @@ from repro.metrics.registry import (
     MetricsRegistry,
     format_sample,
     histogram_lines,
-    scalar_lines,
 )
 from repro.metrics.report import fmt_factor, fmt_kb, fmt_pct, render_table
+from repro.metrics.stats import (
+    counter,
+    family_lines,
+    gauge,
+    histogram,
+    stats_dict,
+    stats_lines,
+)
 
 __all__ = [
     "BandwidthReport",
@@ -20,12 +27,17 @@ __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     "SizeSample",
     "StreamingHistogram",
+    "counter",
+    "family_lines",
     "fmt_factor",
     "fmt_kb",
     "fmt_pct",
     "format_sample",
+    "gauge",
+    "histogram",
     "histogram_lines",
     "nearest_rank_index",
     "render_table",
-    "scalar_lines",
+    "stats_dict",
+    "stats_lines",
 ]

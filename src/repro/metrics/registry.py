@@ -1,7 +1,9 @@
 """Named counters and histograms with Prometheus text exposition.
 
-The observability sink of the live stack: the engine, the origin
-resilience policy, and the HTTP front-end all record into one
+What a ``*Stats`` dataclass field (:mod:`repro.metrics.stats`, where a
+plain count is declared) cannot hold: timings and counts whose label
+values are only known at run time.  The engine, the origin resilience
+policy, and the HTTP front-end all record into one
 :class:`MetricsRegistry`, and ``GET /__metrics__`` renders it in the
 Prometheus text exposition format (``text/plain; version=0.0.4``) so any
 standard scraper — or the CI smoke job's line checker — can consume it.
@@ -26,15 +28,15 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from repro.metrics.histogram import StreamingHistogram
 
 __all__ = [
     "MetricsRegistry",
+    "family_header",
     "format_sample",
     "histogram_lines",
-    "scalar_lines",
     "PROMETHEUS_CONTENT_TYPE",
 ]
 
@@ -77,28 +79,11 @@ def format_sample(name: str, labels: LabelItems, value: float) -> str:
     return f"{name} {_format_value(value)}"
 
 
-def scalar_lines(
-    kind: str,
-    samples: Iterable[tuple[str, str, float]],
-    *,
-    prefix: str = "",
-    suffix: str = "",
-) -> list[str]:
-    """Unlabelled scalar families of one ``kind`` (``counter``/``gauge``).
-
-    ``samples`` yields ``(name, help, value)``; each becomes ``# HELP``
-    (skipped when ``help`` is empty), ``# TYPE`` and one sample line for
-    ``<prefix><name><suffix>``.  The one place a ``*Stats`` scalar is
-    turned into exposition text at read time.
-    """
-    lines: list[str] = []
-    for name, help_text, value in samples:
-        full = f"{prefix}{name}{suffix}"
-        if help_text:
-            lines.append(f"# HELP {full} {help_text}")
-        lines.append(f"# TYPE {full} {kind}")
-        lines.append(format_sample(full, (), value))
-    return lines
+def family_header(name: str, kind: str, help: str = "") -> list[str]:
+    """The ``# HELP`` (when there is text) and ``# TYPE`` lines of a family."""
+    header = [f"# HELP {name} {help}"] if help else []
+    header.append(f"# TYPE {name} {kind}")
+    return header
 
 
 def histogram_lines(
@@ -229,16 +214,12 @@ class MetricsRegistry:
             help_texts = dict(self._help)
         for name in sorted(counters):
             full = f"{self.namespace}_{name}"
-            if name in help_texts:
-                lines.append(f"# HELP {full} {help_texts[name]}")
-            lines.append(f"# TYPE {full} counter")
+            lines += family_header(full, "counter", help_texts.get(name, ""))
             for key in sorted(counters[name]):
                 lines.append(format_sample(full, key, counters[name][key]))
         for name, series in sorted(histogram_items):
             full = f"{self.namespace}_{name}"
-            if name in help_texts:
-                lines.append(f"# HELP {full} {help_texts[name]}")
-            lines.append(f"# TYPE {full} histogram")
+            lines += family_header(full, "histogram", help_texts.get(name, ""))
             for key, histogram in sorted(series, key=lambda item: item[0]):
                 lines.extend(histogram_lines(full, histogram, key))
         return lines

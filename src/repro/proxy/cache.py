@@ -30,6 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.http.messages import Response
+from repro.metrics.stats import counter
 
 
 @dataclass(slots=True)
@@ -47,19 +48,18 @@ class CacheStats:
       ``rejections`` (returning ``False``) — never neither.
     """
 
-    hits: int = 0
-    misses: int = 0
-    insertions: int = 0
-    #: inserts that overwrote a live entry for the same URL
-    replacements: int = 0
-    evictions: int = 0
-    #: entries dropped by ``invalidate``/``clear``
-    invalidations: int = 0
-    #: ``put`` calls refused (uncachable, non-200, or oversized response)
-    rejections: int = 0
-    #: lookups that found an entry past its TTL (also counted as misses)
-    expirations: int = 0
-    hit_bytes: int = 0
+    hits: int = counter("fresh cache hits")
+    misses: int = counter("lookups that needed the upstream")
+    insertions: int = counter("entries stored")
+    replacements: int = counter("inserts that overwrote a live entry")
+    evictions: int = counter("LRU evictions")
+    #: by ``invalidate``/``clear``
+    invalidations: int = counter("explicit entry drops")
+    #: uncachable, non-200, or oversized response
+    rejections: int = counter("puts refused (uncachable/oversized)")
+    #: also counted as misses
+    expirations: int = counter("lookups that found a TTL-expired entry")
+    hit_bytes: int = counter("body bytes served from cache")
 
     @property
     def hit_rate(self) -> float:
@@ -100,6 +100,16 @@ class LRUCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def gauges(self) -> dict:
+        """Occupancy and hit rate: read off the cache rather than counted."""
+        with self._lock:
+            return {
+                "entries": len(self._entries),
+                "size_bytes": self._size,
+                "capacity_bytes": self.capacity_bytes,
+                "hit_rate": self.stats.hit_rate,
+            }
 
     def __contains__(self, url: str) -> bool:
         with self._lock:

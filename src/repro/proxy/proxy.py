@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.http.messages import Request, Response
+from repro.metrics.stats import counter
 from repro.proxy.cache import LRUCache
 
 UpstreamFn = Callable[[Request, float], Response]
@@ -33,20 +34,16 @@ class ProxyStats:
     wire (the downstream wire is the serving shell's ``bytes_out``).
     """
 
-    requests: int = 0
-    #: non-GET requests forwarded without consulting the cache
-    bypassed: int = 0
-    upstream_requests: int = 0
-    upstream_bytes: int = 0
-    downstream_bytes: int = 0
+    requests: int = counter("requests proxied (admin excluded)")
+    bypassed: int = counter("non-GET requests forwarded uncached", name="bypass")
+    upstream_requests: int = counter("round-trips to the upstream")
+    upstream_bytes: int = counter("body bytes read", name="upstream_body_bytes")
+    downstream_bytes: int = counter("body bytes served", name="downstream_body_bytes")
     #: live tier only: wire-level accounting for the byte-savings math
-    upstream_wire_bytes: int = 0
-    #: conditional (If-None-Match) refreshes of TTL-expired entries …
-    revalidations: int = 0
-    #: … and how many came back 304 Not Modified (bytes saved)
-    revalidated: int = 0
-    #: upstream round-trips that failed (connect/protocol errors)
-    upstream_errors: int = 0
+    upstream_wire_bytes: int = counter("wire bytes read from the upstream")
+    revalidations: int = counter("conditional refreshes of TTL-expired entries")
+    revalidated: int = counter("revalidations answered 304 Not Modified")
+    upstream_errors: int = counter("failed upstream round-trips")
 
 
 class ProxyCache:

@@ -37,7 +37,7 @@ verifying end-to-end.
 from __future__ import annotations
 
 from repro.http.messages import HEADER_IF_NONE_MATCH, Request, Response
-from repro.metrics import format_sample, render_table, scalar_lines
+from repro.metrics import family_lines, render_table, stats_dict, stats_lines
 from repro.proxy.cache import LRUCache
 from repro.proxy.proxy import ProxyStats
 from repro.serve.aio import ConnectionPool, PeerUnavailable, ServerShell
@@ -50,6 +50,12 @@ HEADER_PROXY_CACHE = "X-Proxy-Cache"
 
 #: default TTL before a cached base-file is revalidated upstream
 DEFAULT_TTL = 300.0
+
+#: the ``ServeStats`` fields exported under ``repro_proxy_``
+_SHELL_FIELDS = (
+    "connections_accepted", "connections_rejected", "protocol_errors",
+    "timeouts", "status_counts", "active_connections",
+)
 
 
 class ProxyHTTPServer(ServerShell):
@@ -200,121 +206,46 @@ class ProxyHTTPServer(ServerShell):
     # -- observability ---------------------------------------------------------
 
     async def health(self) -> dict:
-        cache = self.cache.stats
-        served = self.serve_stats
         return {
             "status": "ok" if not self.closing else "draining",
             "upstream": {"host": self.upstream_host, "port": self.upstream_port},
             "connections": self.connections(),
             "cache": {
-                "entries": len(self.cache),
-                "size_bytes": self.cache.size_bytes,
-                "capacity_bytes": self.cache.capacity_bytes,
                 "ttl": self.cache.ttl,
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "hit_rate": cache.hit_rate,
-                "expirations": cache.expirations,
-                "evictions": cache.evictions,
-                "rejections": cache.rejections,
-                "invalidations": cache.invalidations,
+                **self.cache.gauges(),
+                **stats_dict(self.cache.stats),
             },
             "traffic": {
-                "requests": self.stats.requests,
-                "bypassed": self.stats.bypassed,
-                "upstream_requests": self.stats.upstream_requests,
-                "upstream_wire_bytes": self.stats.upstream_wire_bytes,
-                "downstream_wire_bytes": served.bytes_out,
-                "revalidations": self.stats.revalidations,
-                "revalidated": self.stats.revalidated,
-                "upstream_errors": self.stats.upstream_errors,
+                "downstream_wire_bytes": self.serve_stats.bytes_out,
+                **stats_dict(self.stats),
             },
         }
 
     async def metrics_lines(self) -> list[str]:
-        """The proxy's cache and traffic families in exposition format."""
-        traffic = self.stats
-        cache = self.cache.stats
+        """The proxy's traffic, cache and shell families in exposition format."""
         served = self.serve_stats
-        counters: list[tuple[str, str, float]] = [
-            ("repro_proxy_requests_total", "requests proxied (admin excluded)",
-             traffic.requests),
-            ("repro_proxy_bypass_total", "non-GET requests forwarded uncached",
-             traffic.bypassed),
-            ("repro_proxy_upstream_requests_total", "round-trips to the upstream",
-             traffic.upstream_requests),
-            ("repro_proxy_upstream_errors_total", "failed upstream round-trips",
-             traffic.upstream_errors),
-            ("repro_proxy_revalidations_total",
-             "conditional refreshes of TTL-expired entries",
-             traffic.revalidations),
-            ("repro_proxy_revalidated_total",
-             "revalidations answered 304 Not Modified", traffic.revalidated),
-            ("repro_proxy_upstream_body_bytes_total",
-             "response body bytes read from the upstream", traffic.upstream_bytes),
-            ("repro_proxy_downstream_body_bytes_total",
-             "response body bytes served to clients", traffic.downstream_bytes),
-            ("repro_proxy_upstream_wire_bytes_total",
-             "wire bytes read from the upstream", traffic.upstream_wire_bytes),
-            ("repro_proxy_downstream_wire_bytes_total",
-             "wire bytes written to clients", served.bytes_out),
-            ("repro_proxy_cache_hits_total", "fresh cache hits", cache.hits),
-            ("repro_proxy_cache_misses_total",
-             "lookups that needed the upstream", cache.misses),
-            ("repro_proxy_cache_expirations_total",
-             "lookups that found a TTL-expired entry", cache.expirations),
-            ("repro_proxy_cache_insertions_total", "entries stored",
-             cache.insertions),
-            ("repro_proxy_cache_replacements_total",
-             "inserts that overwrote a live entry", cache.replacements),
-            ("repro_proxy_cache_evictions_total", "LRU evictions",
-             cache.evictions),
-            ("repro_proxy_cache_invalidations_total", "explicit entry drops",
-             cache.invalidations),
-            ("repro_proxy_cache_rejections_total",
-             "puts refused (uncachable/oversized)", cache.rejections),
-            ("repro_proxy_cache_hit_bytes_total", "body bytes served from cache",
-             cache.hit_bytes),
-            ("repro_proxy_connections_accepted_total", "connections accepted",
-             served.connections_accepted),
-            ("repro_proxy_connections_rejected_total",
-             "connections turned away with 503",
-             served.connections_rejected),
-            ("repro_proxy_protocol_errors_total", "malformed inbound framing",
-             served.protocol_errors),
-            ("repro_proxy_timeouts_total", "upstream exchanges answered 504",
-             served.timeouts),
-            ("repro_proxy_admin_requests_total",
-             "metrics/health probes answered locally",
-             served.health_checks + served.metrics_scrapes),
-        ]
-        lines = scalar_lines("counter", counters)
-        lines.append("# TYPE repro_proxy_responses_by_status_total counter")
-        for status in sorted(served.status_counts):
-            lines.append(
-                format_sample(
-                    "repro_proxy_responses_by_status_total",
-                    (("status", str(status)),),
-                    served.status_counts[status],
-                )
-            )
-        gauges: list[tuple[str, str, float]] = [
-            ("repro_proxy_cache_entries", "live cache entries", len(self.cache)),
-            ("repro_proxy_cache_size_bytes", "bytes held by the cache",
-             self.cache.size_bytes),
-            ("repro_proxy_cache_capacity_bytes", "cache byte budget",
-             self.cache.capacity_bytes),
-            ("repro_proxy_cache_hit_rate", "hits over all lookups",
-             cache.hit_rate),
-            ("repro_proxy_active_connections", "currently open client connections",
-             served.active_connections),
-        ]
+        uptime = {}
         if served.started_at is not None:
-            gauges.append(
-                ("repro_proxy_uptime_seconds", "seconds since start",
-                 self.clock() - served.started_at)
+            uptime["uptime_seconds"] = self.clock() - served.started_at
+        return (
+            stats_lines(self.stats, "repro_proxy_")
+            + stats_lines(
+                self.cache.stats, "repro_proxy_cache_", gauges=self.cache.gauges()
             )
-        return lines + scalar_lines("gauge", gauges)
+            # The shell's counts this tier has always exported; its
+            # ``requests`` (admin included) would collide with the
+            # proxy's own (admin excluded).
+            + stats_lines(served, "repro_proxy_", only=_SHELL_FIELDS, gauges=uptime)
+            + family_lines(
+                "counter", "repro_proxy_downstream_wire_bytes_total",
+                served.bytes_out, help="wire bytes written to clients",
+            )
+            + family_lines(
+                "counter", "repro_proxy_admin_requests_total",
+                served.health_checks + served.metrics_scrapes,
+                help="metrics/health probes answered locally",
+            )
+        )
 
     def render(self, title: str = "proxy tier") -> str:
         """Aligned stats table (CLI exit report)."""

@@ -28,6 +28,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.metrics.stats import counter, stats_dict
+
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
@@ -37,13 +39,12 @@ HALF_OPEN = "half_open"
 class BreakerStats:
     """Lifetime transition and outcome counters."""
 
-    successes: int = 0
-    failures: int = 0
-    opened: int = 0
-    half_opens: int = 0
-    reclosed: int = 0
-    #: calls denied while open / half-open saturated
-    fast_fails: int = 0
+    successes: int = counter("origin outcomes recorded as success")
+    failures: int = counter("origin outcomes recorded as failure")
+    opened: int = counter("transitions to open")
+    half_opens: int = counter("transitions from open to half-open")
+    reclosed: int = counter("transitions from half-open back to closed")
+    fast_fails: int = counter("calls denied while open or half-open saturated")
 
 
 class CircuitBreaker:
@@ -103,10 +104,7 @@ class CircuitBreaker:
                 "state": self._state,
                 "window": list(self._outcomes).count(False),
                 "window_size": len(self._outcomes),
-                "opened": self.stats.opened,
-                "reclosed": self.stats.reclosed,
-                "half_opens": self.stats.half_opens,
-                "fast_fails": self.stats.fast_fails,
+                **stats_dict(self.stats),
             }
 
     # -- protocol --------------------------------------------------------------

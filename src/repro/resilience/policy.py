@@ -39,6 +39,7 @@ from typing import Callable
 
 from repro.http.messages import Request, Response
 from repro.metrics.registry import MetricsRegistry
+from repro.metrics.stats import counter, stats_dict
 from repro.resilience.breaker import CircuitBreaker
 
 OriginFetch = Callable[[Request, float], Response]
@@ -104,15 +105,15 @@ class ResilienceConfig:
 class ResilienceStats:
     """Counters for one policy instance."""
 
-    calls: int = 0
-    retries: int = 0
+    calls: int = counter("origin fetches requested of the policy")
+    retries: int = counter("origin fetch retry attempts")
+    #: exported as the sum of the ``origin_backoff_seconds`` histogram
     backoff_seconds: float = 0.0
-    #: calls denied instantly because the breaker was open
-    fast_fails: int = 0
-    #: calls that burned every retry without a usable response
-    exhausted: int = 0
-    #: calls whose next backoff would have crossed the deadline
-    deadline_exhausted: int = 0
+    fast_fails: int = counter(
+        "calls denied instantly by the open breaker", name="breaker_rejections"
+    )
+    exhausted: int = counter("calls that burned every retry")
+    deadline_exhausted: int = counter("calls whose next backoff crossed the deadline")
 
 
 class ResilientOrigin:
@@ -132,9 +133,9 @@ class ResilientOrigin:
         self.config = config or ResilienceConfig()
         self.breaker = breaker or self.config.make_breaker(clock)
         self.stats = ResilienceStats()
-        #: observability sink: attempt/backoff timings and breaker
-        #: rejections as named histograms/counters (shared with the
-        #: serving layer when wired through ``build_server``).
+        #: observability sink: attempt/backoff timings as named
+        #: histograms (shared with the serving layer when wired through
+        #: ``build_server``); the counts live on ``stats``.
         self.metrics = metrics or MetricsRegistry()
         self._fetch = fetch
         self._clock = clock or time.monotonic
@@ -177,10 +178,6 @@ class ResilientOrigin:
             if not self.breaker.allow():
                 with self._lock:
                     self.stats.fast_fails += 1
-                self.metrics.inc(
-                    "origin_breaker_rejections_total",
-                    help="origin calls denied instantly by the open breaker",
-                )
                 raise OriginUnavailable(
                     "circuit open",
                     breaker_state=self.breaker.state,
@@ -216,11 +213,6 @@ class ResilientOrigin:
             if attempt > config.retries:
                 with self._lock:
                     self.stats.exhausted += 1
-                self.metrics.inc(
-                    "origin_exhausted_total",
-                    labels={"reason": "retries"},
-                    help="origin requests that burned their whole budget",
-                )
                 raise OriginUnavailable(
                     "retries exhausted",
                     breaker_state=self.breaker.state,
@@ -231,11 +223,6 @@ class ResilientOrigin:
             if self._clock() + pause >= deadline:
                 with self._lock:
                     self.stats.deadline_exhausted += 1
-                self.metrics.inc(
-                    "origin_exhausted_total",
-                    labels={"reason": "deadline"},
-                    help="origin requests that burned their whole budget",
-                )
                 raise OriginUnavailable(
                     "deadline budget exhausted",
                     breaker_state=self.breaker.state,
@@ -245,9 +232,6 @@ class ResilientOrigin:
             with self._lock:
                 self.stats.retries += 1
                 self.stats.backoff_seconds += pause
-            self.metrics.inc(
-                "origin_retries_total", help="origin fetch retry attempts"
-            )
             self.metrics.observe(
                 "origin_backoff_seconds",
                 pause,
@@ -258,12 +242,5 @@ class ResilientOrigin:
     def snapshot(self) -> dict:
         """Policy + breaker counters for health reporting."""
         with self._lock:
-            stats = {
-                "calls": self.stats.calls,
-                "retries": self.stats.retries,
-                "backoff_seconds": round(self.stats.backoff_seconds, 6),
-                "fast_fails": self.stats.fast_fails,
-                "exhausted": self.stats.exhausted,
-                "deadline_exhausted": self.stats.deadline_exhausted,
-            }
-        return {"policy": stats, "breaker": self.breaker.snapshot()}
+            policy = stats_dict(self.stats)
+        return {"policy": policy, "breaker": self.breaker.snapshot()}

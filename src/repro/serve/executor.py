@@ -5,7 +5,7 @@ Section VI-C); run inline it would stall every other connection on the
 asyncio loop.  :class:`DeltaExecutor` pushes those calls onto a worker
 pool so the loop only ever awaits.
 
-Three kinds:
+Two kinds:
 
 * ``thread`` (default) — a ``ThreadPoolExecutor``.  The engine is sharded
   (per-class locks, off-lock origin fetch, snapshot-encode-commit delta
@@ -17,12 +17,6 @@ Three kinds:
   C-accelerated differ or zlib-heavy payloads, which release the GIL)
   real compute too.  The default pool size is therefore sized for
   latency overlap, not core count: ``min(64, 4 × cores)``.
-* ``process`` — a ``ProcessPoolExecutor`` for *stateless, picklable*
-  jobs (e.g. raw ``make_delta`` calls).  Processes pay off when encode
-  CPU dominates the request (big documents, high compression levels) and
-  the job can be expressed without the shared class map — the engine
-  itself holds live locks and cross-referenced class state and cannot be
-  shipped across process boundaries.
 * ``sync`` — run inline.  Fallback for environments without worker
   threads and for deterministic unit tests.
 """
@@ -32,10 +26,10 @@ from __future__ import annotations
 import asyncio
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
-KINDS = ("thread", "process", "sync")
+KINDS = ("thread", "sync")
 
 
 def default_thread_workers() -> int:
@@ -58,11 +52,9 @@ class DeltaExecutor:
         if kind == "thread":
             if max_workers is None:
                 max_workers = default_thread_workers()
-            self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = (
-                ThreadPoolExecutor(max_workers=max_workers, thread_name_prefix="delta")
+            self._pool: ThreadPoolExecutor | None = ThreadPoolExecutor(
+                max_workers=max_workers, thread_name_prefix="delta"
             )
-        elif kind == "process":
-            self._pool = ProcessPoolExecutor(max_workers=max_workers)
         else:
             self._pool = None
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.http.messages import Request, Response
+from repro.metrics.stats import counter
 from repro.origin.server import OriginServer
 from repro.resilience.faults import FaultAction, FaultPlan
 
@@ -50,14 +51,13 @@ FaultHook = Callable[[Request], Response | None]
 class GatewayStats:
     """Counters for the origin bridge."""
 
-    fetches: int = 0
-    faults_injected: int = 0
-    injected_latency_seconds: float = 0.0
-    #: legacy fault hooks that raised (converted to injected 500s)
-    hook_failures: int = 0
-    resets_injected: int = 0
-    corruptions_injected: int = 0
-    drip_seconds: float = 0.0
+    fetches: int = counter("origin fetches through the gateway")
+    faults_injected: int = counter("fetches answered by an injected fault")
+    injected_latency_seconds: float = counter("latency injected into fetches")
+    hook_failures: int = counter("fault hooks that raised (answered as a 500)")
+    resets_injected: int = counter("fetches failed by an injected reset")
+    corruptions_injected: int = counter("origin bodies corrupted on purpose")
+    drip_seconds: float = counter("delay injected by slow-drip responses")
 
 
 class OriginGateway:

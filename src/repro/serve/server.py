@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.core.config import DeltaServerConfig
-from repro.core.delta_server import STAT_FIELDS, DeltaServer
+from repro.core.delta_server import DeltaServer
 from repro.fleet.partition import worker_class_prefix
 from repro.fleet.router import (
     HEADER_FLEET_FORWARDED,
@@ -55,10 +55,10 @@ from repro.http.messages import (
     Request,
     Response,
 )
-from repro.metrics import MetricsRegistry, scalar_lines
+from repro.metrics import MetricsRegistry, family_lines, stats_dict, stats_lines
 from repro.origin.server import OriginServer
 from repro.origin.site import SyntheticSite
-from repro.resilience.breaker import CLOSED
+from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import (
     OriginUnavailable,
@@ -83,26 +83,6 @@ from repro.serve.protocol import (
 logger = logging.getLogger("repro.serve")
 
 MODES = ("delta", "plain")
-
-# Scalars mirrored into /__metrics__ at read time (no double bookkeeping
-# on the hot path): snapshot keys / attribute names, exported as
-# repro_<layer>_<name>[_total].  The engine's are every ServerStats field.
-_STORE_COUNTERS = (
-    "journal_records", "commits", "full_records", "delta_records",
-    "history_evictions", "compactions",
-)
-_STORE_GAUGES = (
-    "pack_bytes", "live_pack_bytes", "garbage_bytes", "journal_bytes",
-    "classes", "max_chain_length", "snapshot_every", "generation",
-    "recovery_ms", "warm_start", "rehydrated_classes",
-)
-_FLEET_COUNTERS = (
-    "local_served", "served_for_peers", "forwarded", "forward_failures",
-)
-_GATEWAY_COUNTERS = (
-    "fetches", "faults_injected", "hook_failures", "resets_injected",
-    "corruptions_injected",
-)
 
 
 class DeltaHTTPServer(ServerShell):
@@ -267,11 +247,11 @@ class DeltaHTTPServer(ServerShell):
             engine_health and engine_health["quarantined"]
         )
         return {
+            **stats_dict(self.stats),
             "status": "ok" if healthy else "degraded",
             "mode": self.mode,
             "closing": self.closing,
             "connections": self.connections(),
-            "requests": self.stats.requests,
             "degraded": {
                 "stale": self.stats.degraded_stale,
                 "unavailable": self.stats.degraded_unavailable,
@@ -289,62 +269,34 @@ class DeltaHTTPServer(ServerShell):
 
         One render pass over (a) the shared registry — engine stage
         histograms, resilience attempt/backoff timings — and (b) the
-        scalar counters of the serve stats, engine, store, fleet router,
-        gateway, and breaker, materialized at read time.
+        stats object of every layer this server holds: shell, engine,
+        grouper, store, fleet router, gateway, resilience policy, breaker.
         """
         lines = self.metrics.lines() + self.stats.prometheus_lines(self.clock())
         if self.engine is not None:
-            stats = self.engine.stats
-            lines += scalar_lines(
-                "counter",
-                ((name, "", getattr(stats, name)) for name in STAT_FIELDS),
-                prefix="repro_engine_",
-                suffix="_total",
+            grouper = self.engine.grouper
+            lines += stats_lines(
+                self.engine.stats, "repro_engine_",
+                gauges={"classes": len(grouper.classes)},
             )
-            lines += scalar_lines(
-                "gauge",
-                [("repro_engine_classes", "", len(self.engine.grouper.classes))],
-            )
-            store = self.engine.store_hooks.snapshot()
+            lines += stats_lines(grouper.stats, "repro_grouping_")
+            store = self.engine.store_hooks.store
             if store is not None:
-                lines += scalar_lines(
-                    "counter",
-                    ((name, "", store[name]) for name in _STORE_COUNTERS),
-                    prefix="repro_store_",
-                    suffix="_total",
-                )
-                lines += scalar_lines(
-                    "gauge",
-                    ((name, "", store[name]) for name in _STORE_GAUGES),
-                    prefix="repro_store_",
+                lines += stats_lines(
+                    store.stats, "repro_store_", gauges=store.gauges()
                 )
         if self.router is not None:
-            fleet = self.router.snapshot()
-            lines += scalar_lines(
-                "counter",
-                ((name, "", fleet[name]) for name in _FLEET_COUNTERS),
-                prefix="repro_fleet_",
-                suffix="_total",
-            )
-        gateway = self.gateway.stats
-        lines += scalar_lines(
-            "counter",
-            ((name, "", getattr(gateway, name)) for name in _GATEWAY_COUNTERS),
-            prefix="repro_origin_gateway_",
-            suffix="_total",
-        )
+            lines += stats_lines(self.router.stats, "repro_fleet_")
+        lines += stats_lines(self.gateway.stats, "repro_origin_gateway_")
         if self.resilience is not None:
-            breaker = self.resilience.breaker.snapshot()
-            lines.append("# TYPE repro_breaker_state gauge")
-            for state in ("closed", "open", "half_open"):
-                flag = 1 if breaker["state"] == state else 0
-                lines.append(f'repro_breaker_state{{state="{state}"}} {flag}')
-            lines += scalar_lines(
-                "counter",
-                [
-                    ("repro_breaker_opened_total", "", breaker["opened"]),
-                    ("repro_breaker_reclosed_total", "", breaker["reclosed"]),
-                ],
+            breaker = self.resilience.breaker
+            state = breaker.state
+            lines += stats_lines(self.resilience.stats, "repro_origin_")
+            lines += stats_lines(breaker.stats, "repro_breaker_")
+            lines += family_lines(
+                "gauge", "repro_breaker_state",
+                {name: int(name == state) for name in (CLOSED, OPEN, HALF_OPEN)},
+                label="state",
             )
         return lines
 

@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import traceback
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.http.messages import Response
 from repro.metrics import (
     LatencySample,
     SizeSample,
-    format_sample,
-    histogram_lines,
+    counter,
+    gauge,
+    histogram,
     render_table,
-    scalar_lines,
+    stats_lines,
 )
 
 
@@ -31,33 +32,33 @@ class ServeStats:
     """Counters for one live server instance (single event loop; unlocked)."""
 
     started_at: float | None = None
-    connections_accepted: int = 0
-    connections_rejected: int = 0
-    active_connections: int = 0
-    peak_connections: int = 0
-    requests: int = 0
-    responses: int = 0
-    deltas_served: int = 0
-    full_documents: int = 0
-    base_files_served: int = 0
-    errors: int = 0
-    timeouts: int = 0
-    protocol_errors: int = 0
-    bytes_in: int = 0
-    bytes_out: int = 0
+    connections_accepted: int = counter("connections accepted")
+    connections_rejected: int = counter("connections turned away with 503")
+    active_connections: int = gauge("currently open client connections")
+    peak_connections: int = gauge("most connections open at once")
+    requests: int = counter("HTTP requests parsed")
+    responses: int = counter("HTTP responses written")
+    deltas_served: int = counter("delta responses")
+    full_documents: int = counter("full document responses")
+    base_files_served: int = counter("base-file responses")
+    errors: int = counter("responses with status >= 500")
+    timeouts: int = counter("requests answered 504")
+    protocol_errors: int = counter("malformed inbound framing")
+    bytes_in: int = counter("request wire bytes read")
+    bytes_out: int = counter("response wire bytes written")
     #: degraded answers: marked-stale base-files and 502 fallbacks
-    degraded_stale: int = 0
-    degraded_unavailable: int = 0
-    health_checks: int = 0
-    #: ``/__metrics__`` scrapes (with ``health_checks``: every admin probe)
-    metrics_scrapes: int = 0
-    status_counts: Counter = field(default_factory=Counter)
+    degraded_stale: int = counter("marked-stale base-file answers")
+    degraded_unavailable: int = counter("origin-unavailable 502 answers")
+    health_checks: int = counter("GET /__health__ probes")
+    #: with ``health_checks``: every admin probe
+    metrics_scrapes: int = counter("GET /__metrics__ scrapes")
+    status_counts: Counter = counter(name="responses_by_status", label="status")
     #: unhandled dispatch exceptions, classified by exception type name
-    exception_counts: Counter = field(default_factory=Counter)
+    exception_counts: Counter = counter(name="exceptions", label="type")
     #: formatted traceback of the most recent unhandled exception
     last_error: str | None = None
-    latencies: LatencySample = field(default_factory=LatencySample)
-    response_sizes: SizeSample = field(default_factory=SizeSample)
+    latencies: LatencySample = histogram(LatencySample, name="request_latency_seconds")
+    response_sizes: SizeSample = histogram(SizeSample, name="response_body_bytes")
 
     # -- event hooks -----------------------------------------------------------
 
@@ -176,68 +177,12 @@ class ServeStats:
         )
 
     def prometheus_lines(self, now: float | None = None) -> list[str]:
-        """Exposition lines for every counter and histogram held here.
+        """Exposition lines for every counter, gauge and histogram held here.
 
-        The serve-layer half of ``GET /__metrics__``; the engine and
-        resilience registries render their own families.
+        The serve-layer part of ``GET /__metrics__``; ``now`` adds the
+        uptime gauge.
         """
-        counters: list[tuple[str, str, int]] = [
-            ("repro_connections_accepted_total", "connections accepted",
-             self.connections_accepted),
-            ("repro_connections_rejected_total", "connections turned away with 503",
-             self.connections_rejected),
-            ("repro_requests_total", "HTTP requests parsed", self.requests),
-            ("repro_responses_total", "HTTP responses written", self.responses),
-            ("repro_deltas_served_total", "delta responses", self.deltas_served),
-            ("repro_full_documents_total", "full document responses",
-             self.full_documents),
-            ("repro_base_files_served_total", "base-file responses",
-             self.base_files_served),
-            ("repro_errors_total", "responses with status >= 500", self.errors),
-            ("repro_timeouts_total", "requests answered 504", self.timeouts),
-            ("repro_protocol_errors_total", "malformed inbound framing",
-             self.protocol_errors),
-            ("repro_bytes_in_total", "request wire bytes read", self.bytes_in),
-            ("repro_bytes_out_total", "response wire bytes written", self.bytes_out),
-            ("repro_degraded_stale_total", "marked-stale base-file answers",
-             self.degraded_stale),
-            ("repro_degraded_unavailable_total", "origin-unavailable 502 answers",
-             self.degraded_unavailable),
-            ("repro_health_checks_total", "GET /__health__ probes",
-             self.health_checks),
-        ]
-        lines = scalar_lines("counter", counters)
-        lines.append("# TYPE repro_responses_by_status_total counter")
-        for status in sorted(self.status_counts):
-            lines.append(
-                format_sample(
-                    "repro_responses_by_status_total",
-                    (("status", str(status)),),
-                    self.status_counts[status],
-                )
-            )
-        lines.append("# TYPE repro_exceptions_total counter")
-        for name in sorted(self.exception_counts):
-            lines.append(
-                format_sample(
-                    "repro_exceptions_total",
-                    (("type", name),),
-                    self.exception_counts[name],
-                )
-            )
-        gauges: list[tuple[str, str, float]] = [
-            ("repro_active_connections", "", self.active_connections),
-            ("repro_peak_connections", "", self.peak_connections),
-        ]
+        gauges = {}
         if now is not None and self.started_at is not None:
-            gauges.append(("repro_uptime_seconds", "", now - self.started_at))
-        lines.extend(scalar_lines("gauge", gauges))
-        lines.append("# TYPE repro_request_latency_seconds histogram")
-        lines.extend(
-            histogram_lines("repro_request_latency_seconds", self.latencies.histogram)
-        )
-        lines.append("# TYPE repro_response_body_bytes histogram")
-        lines.extend(
-            histogram_lines("repro_response_body_bytes", self.response_sizes.histogram)
-        )
-        return lines
+            gauges["uptime_seconds"] = now - self.started_at
+        return stats_lines(self, "repro_", gauges=gauges)

@@ -67,6 +67,7 @@ from repro.delta import apply_delta, checksum, make_delta
 from repro.delta.compress import compress, decompress
 from repro.delta.errors import DeltaError
 from repro.metrics.registry import MetricsRegistry
+from repro.metrics.stats import counter, gauge, stats_dict
 from repro.store.format import FILE_HEADER, StoreFormatError, frame_crc, scan_frames
 from repro.store.journal import (
     REC_BASE,
@@ -141,21 +142,18 @@ class ClassState:
 class StoreStats:
     """Store accounting (surfaced via ``/__metrics__`` and ``/__health__``)."""
 
-    commits: int = 0
-    full_records: int = 0
-    delta_records: int = 0
-    journal_records: int = 0
-    history_evictions: int = 0
-    releases: int = 0
-    compactions: int = 0
-    #: torn-tail repairs applied by the last recovery
-    journal_truncated_bytes: int = 0
-    pack_truncated_bytes: int = 0
-    recovery_ms: float = 0.0
-    #: True when recovery found at least one class on disk
-    warm_start: bool = False
-    #: classes actually rebuilt into an engine by rehydration
-    rehydrated_classes: int = 0
+    commits: int = counter("base-file versions durably committed")
+    full_records: int = counter("commits stored as a full snapshot")
+    delta_records: int = counter("commits stored as a delta on the chain")
+    journal_records: int = counter("records in the live journal")
+    history_evictions: int = counter("old base versions dropped from a chain")
+    releases: int = counter("classes whose stored base was released")
+    compactions: int = counter("garbage rewrites into a new pack generation")
+    journal_truncated_bytes: int = gauge("torn journal tail cut by the last recovery")
+    pack_truncated_bytes: int = gauge("torn pack tail cut by the last recovery")
+    recovery_ms: float = gauge("duration of the last recovery", default=0.0)
+    warm_start: bool = gauge("1 when recovery found a class on disk", default=False)
+    rehydrated_classes: int = gauge("classes rebuilt into an engine by rehydration")
 
 
 class Store:
@@ -734,12 +732,10 @@ class Store:
                 default=0,
             )
 
-    def snapshot(self) -> dict:
-        """JSON-friendly stats for ``/__health__`` and ``/__metrics__``."""
+    def gauges(self) -> dict:
+        """What is read off the index and files rather than counted."""
         with self._lock:
-            stats = self.stats
             return {
-                "state_dir": str(self.state_dir),
                 "generation": self._generation,
                 "snapshot_every": self.snapshot_every,
                 "classes": len(self._classes),
@@ -749,19 +745,16 @@ class Store:
                     self._pack.end - FILE_HEADER.size - self._live_bytes, 0
                 ),
                 "journal_bytes": self._journal.bytes,
-                "journal_records": stats.journal_records,
-                "commits": stats.commits,
-                "full_records": stats.full_records,
-                "delta_records": stats.delta_records,
-                "history_evictions": stats.history_evictions,
-                "releases": stats.releases,
-                "compactions": stats.compactions,
                 "max_chain_length": self.max_chain_length(),
-                "recovery_ms": round(stats.recovery_ms, 3),
-                "journal_truncated_bytes": stats.journal_truncated_bytes,
-                "pack_truncated_bytes": stats.pack_truncated_bytes,
-                "warm_start": stats.warm_start,
-                "rehydrated_classes": stats.rehydrated_classes,
+            }
+
+    def snapshot(self) -> dict:
+        """JSON-friendly state for ``/__health__``: gauges plus ``stats``."""
+        with self._lock:
+            return {
+                "state_dir": str(self.state_dir),
+                **self.gauges(),
+                **stats_dict(self.stats),
             }
 
     # -- compaction ----------------------------------------------------------------
@@ -867,11 +860,6 @@ class Store:
                 with contextlib.suppress(OSError):
                     stale.unlink()
             self.stats.compactions += 1
-            if self.metrics is not None:
-                self.metrics.inc(
-                    "store_compactions",
-                    help="pack compactions (garbage rewrites into a new generation)",
-                )
             return freed
 
     def _ordered_states(self) -> list[ClassState]:

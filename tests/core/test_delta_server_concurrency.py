@@ -154,9 +154,18 @@ def build_mixed_stack(mode: str):
 
     config = DeltaServerConfig(
         anonymization=AnonymizationConfig(enabled=True, documents=2, min_count=1),
-        engine_mode=mode,
     )
-    return sites, origin, DeltaServer(fetch, config, rulebook)
+    server = DeltaServer(fetch, config, rulebook)
+    if mode == "serialized":
+        # The paper's single-CPU model: one caller-side lock across handle().
+        lock, handle = threading.Lock(), server.handle
+
+        def locked(request: Request, now: float):
+            with lock:
+                return handle(request, now)
+
+        server.handle = locked
+    return sites, origin, server
 
 
 def warm_mixed(server: DeltaServer, sites):

@@ -9,6 +9,9 @@ retrying against the fresh state or falling back to a full response, but
 never serving a delta against a retired base version.
 """
 
+import contextlib
+import threading
+
 import pytest
 
 from repro.core.config import AnonymizationConfig, DeltaServerConfig
@@ -197,8 +200,9 @@ class TestUrlMap:
 
 class TestSerializedParity:
     def test_modes_produce_identical_bytes_single_threaded(self):
-        """Same trace, single thread: serialized and sharded engines must
-        emit byte-identical responses (delta payloads included)."""
+        """Same trace, single thread: the engine behind one caller-side lock
+        (the paper's single-CPU model) and the engine as it is must emit
+        byte-identical responses (delta payloads included)."""
         site = SyntheticSite(SiteSpec(name="www.par.example", products_per_category=3))
         urls = [site.url_for(page) for page in site.all_pages()[:5]]
         rulebook = RuleBook()
@@ -210,9 +214,11 @@ class TestSerializedParity:
             )
             config = DeltaServerConfig(
                 anonymization=AnonymizationConfig(enabled=True, documents=2, min_count=1),
-                engine_mode=mode,
             )
             engine = DeltaServer(origin.handle, config, rulebook)
+            lock = (
+                threading.Lock() if mode == "serialized" else contextlib.nullcontext()
+            )
             refs: dict[str, str] = {}
             out = []
             for i in range(60):
@@ -220,7 +226,8 @@ class TestSerializedParity:
                 request = Request(url=url, cookies={"uid": f"u{i % 5}"})
                 if url in refs:
                     request.headers.set(HEADER_ACCEPT_DELTA, refs[url])
-                response = engine.handle(request, now=float(i))
+                with lock:
+                    response = engine.handle(request, now=float(i))
                 ref = response.base_file_ref
                 if ref is not None:
                     refs[url] = ref

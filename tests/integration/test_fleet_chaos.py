@@ -73,7 +73,10 @@ async def kill_workers(supervisor: FleetSupervisor, kills: int) -> int:
     """SIGKILL workers one at a time, waiting for each recovery."""
     killed = 0
     for i in range(kills):
-        await asyncio.sleep(0.8)
+        # The first kill must land while the storm is still running (its
+        # 500 requests take under a second on a fast box), or no client
+        # ever retries and the "kills were felt" gate has nothing to see.
+        await asyncio.sleep(0.8 if i else 0.2)
         handle = supervisor.handles[i % len(supervisor.handles)]
         restarts_before = handle.restarts
         pid = handle.pid
@@ -120,7 +123,9 @@ def test_fleet_chaos_soak(tmp_path):
                 LoadGenConfig(
                     host=host,
                     port=port,
-                    concurrency=4,
+                    # Enough connections that the first victim holds one:
+                    # the kernel spreads them over the 3 workers at random.
+                    concurrency=12,
                     # The retry budget must outlast a worker's whole
                     # down-window even when CPU contention stretches the
                     # restart: 8 capped backoffs cover ~6.5 s of outage.

@@ -6,14 +6,13 @@ import time
 
 import pytest
 
-from repro.delta import apply_delta, make_delta
 from repro.serve.executor import KINDS, DeltaExecutor
 
 
 def test_kinds_validated():
     with pytest.raises(ValueError):
         DeltaExecutor("fibers")
-    assert set(KINDS) == {"thread", "process", "sync"}
+    assert set(KINDS) == {"thread", "sync"}
 
 
 def test_sync_runs_inline():
@@ -52,22 +51,6 @@ def test_thread_keeps_loop_responsive():
             return ticks
 
         assert asyncio.run(main()) >= 5
-
-
-def test_process_pool_for_picklable_jobs():
-    base = b"abcdefgh" * 200
-    target = base[:900] + b"XYZ" + base[900:]
-    try:
-        executor = DeltaExecutor("process", max_workers=1)
-    except OSError:
-        pytest.skip("process pools unavailable in this environment")
-    with executor:
-
-        async def main():
-            return await executor.run(make_delta, base, target)
-
-        payload = asyncio.run(main())
-    assert apply_delta(payload, base) == target
 
 
 def test_exceptions_propagate():

@@ -154,26 +154,6 @@ def test_version_history_materializes_after_restart(tmp_path):
     store.close()
 
 
-def test_serialized_engine_mode_also_persists(tmp_path):
-    origin = ScriptedOrigin()
-    store = Store.open(tmp_path / "state", snapshot_every=4)
-    config = DeltaServerConfig(
-        anonymization=AnonymizationConfig(enabled=False), engine_mode="serialized"
-    )
-    engine = DeltaServer(
-        origin, config, store_hooks=PersistentStoreHooks(store)
-    )
-    url = "www.s.com/app/page-0"
-    origin.docs[url] = BASE + b"<p>serialized</p>"
-    engine.handle(Request(url=url), now=0.0)
-    engine.close()
-
-    store2 = Store.open(tmp_path / "state")
-    assert store2.stats.warm_start
-    assert store2.class_state("cls1").latest == 1
-    store2.close()
-
-
 def test_no_store_hooks_is_a_true_noop(tmp_path):
     """Without hooks the engine works exactly as before (cold every time)."""
     origin = ScriptedOrigin()
