@@ -17,7 +17,12 @@ kernel and a frozen verbatim snapshot of the pre-rewrite encoder
   for every pair (which also proves wire size <= the old kernel's), and
   the wire must reconstruct the target document exactly;
 * a streaming-equivalence check: the chunked encode→compressobj path must
-  produce the same compressed payload as compressing the whole wire image.
+  produce the same compressed payload as compressing the whole wire image;
+* the cost of an *index* of the reference base in both geometries the engine
+  builds (full 4/1, light 16/8): build time, bytes held (tracemalloc) and
+  the containers it hands the cyclic GC.  An index may track one container
+  per repeated key, never one per key, and the full-geometry build must stay
+  within 1.25x of the legacy builder's, timed in the same run.
 
 Results land in machine-readable form in
 ``benchmarks/results/BENCH_kernel.json`` (override with ``--out``).  Run
@@ -27,18 +32,21 @@ standalone::
 
 Exit status is non-zero when the kernel fails its gate: faster than the
 legacy encoder at all in ``--smoke`` mode, >= 2x on the full run (the
-ISSUE's acceptance bar), or any parity violation.
+ISSUE's acceptance bar), any parity violation, or an index gate.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import string
 import sys
 import time
+import tracemalloc
 import zlib
+from collections import Counter
 from pathlib import Path
 
 if __name__ == "__main__":  # allow `python benchmarks/bench_...py` directly
@@ -50,7 +58,8 @@ if __name__ == "__main__":  # allow `python benchmarks/bench_...py` directly
 from _legacy_vdelta import LegacyVdeltaEncoder
 from repro.delta.apply import apply_delta
 from repro.delta.compress import compress
-from repro.delta.vdelta import VdeltaEncoder
+from repro.delta.light import LightEstimator
+from repro.delta.vdelta import BaseIndex, VdeltaEncoder
 from repro.origin.site import SiteSpec, SyntheticSite
 
 FULL_GATE = 2.0  # acceptance: >= 2x encode throughput on the reference pair
@@ -59,6 +68,8 @@ PAIR_FLOOR = 1.0  # no pair may regress below the legacy kernel
 FULL_ITERATIONS = 30
 SMOKE_ITERATIONS = 4
 COMPRESSION_LEVEL = 6
+FULL_BUILD_CEILING = 1.25  # full-geometry index build vs the legacy builder
+INDEX_BUILDS = 15  # single builds per builder, both modes: one is ~10 ms
 
 
 # -- corpus -------------------------------------------------------------------
@@ -219,10 +230,86 @@ def measure_pair(pair: dict, iterations: int) -> dict:
     }
 
 
+def _best_build_ms(*builds) -> list[float]:
+    """Fastest single call of each builder, the builders taking turns.
+
+    A ratio of two ~10 ms builds is gated, so both must see the same
+    machine: a noisy second on a shared runner lands on every builder, and
+    the minimum discards it.
+    """
+    best = [float("inf")] * len(builds)
+    for _ in range(INDEX_BUILDS):
+        for i, build in enumerate(builds):
+            started = time.perf_counter()
+            build()
+            best[i] = min(best[i], time.perf_counter() - started)
+    return [round(seconds * 1e3, 4) for seconds in best]
+
+
+def _index_footprint(build) -> tuple[int, int]:
+    """``(bytes held, GC-tracked objects)`` of one index, collector paused."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = len(gc.get_objects())
+        index = build()
+        tracked = len(gc.get_objects()) - before - 1  # less the index object
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    del index
+    return held, tracked
+
+
+def measure_index(base: bytes) -> dict:
+    """Both geometries the engine indexes a base-file in, on one document."""
+    report: dict = {"base_bytes": len(base)}
+    legacy = LegacyVdeltaEncoder()
+    for name, geometry in (("full", VdeltaEncoder()), ("light", LightEstimator())):
+        chunk, step = geometry.chunk_size, geometry.step
+
+        def build() -> BaseIndex:
+            return BaseIndex(base, chunk_size=chunk, step=step)
+
+        counts = Counter(
+            base[i : i + chunk] for i in range(0, len(base) - chunk + 1, step)
+        )
+        held, tracked = _index_footprint(build)
+        report[name] = {
+            "chunk_size": chunk,
+            "step": step,
+            "keys": len(counts),
+            "repeated_keys": sum(1 for n in counts.values() if n > 1),
+            "index_bytes": held,
+            "gc_tracked_objects_per_index": tracked,
+        }
+        if name == "full":
+            build_ms, legacy_ms = _best_build_ms(build, lambda: legacy.index(base))
+            report[name]["legacy_index_build_ms"] = legacy_ms
+            report[name]["build_ratio"] = round(build_ms / legacy_ms, 3)
+        else:
+            (build_ms,) = _best_build_ms(build)
+        report[name]["index_build_ms"] = build_ms
+    report["gates"] = {
+        # the table itself, plus one chain per repeated key
+        "tracked_within_repeated_keys": all(
+            report[name]["gc_tracked_objects_per_index"]
+            <= report[name]["repeated_keys"] + 1
+            for name in ("full", "light")
+        ),
+        "full_build_within_ceiling": report["full"]["build_ratio"]
+        <= FULL_BUILD_CEILING,
+    }
+    return report
+
+
 def run_benchmark(smoke: bool = False, seed: int = 20020704) -> dict:
     iterations = SMOKE_ITERATIONS if smoke else FULL_ITERATIONS
     pairs = build_corpus(seed)
     results = [measure_pair(pair, iterations) for pair in pairs]
+    index = measure_index(pairs[0]["base"])
 
     total_new = sum(r.pop("_new_seconds") for r in results)
     total_legacy = sum(r.pop("_legacy_seconds") for r in results)
@@ -258,7 +345,9 @@ def run_benchmark(smoke: bool = False, seed: int = 20020704) -> dict:
         and parity
         and streaming
         and wire_bounded
-        and no_regression,
+        and no_regression
+        and all(index["gates"].values()),
+        "index": index,
         "byte_parity": {
             "wire_identical": parity,
             "wire_size_bounded": wire_bounded,
@@ -280,6 +369,26 @@ def render(result: dict) -> str:
             f"{r['name']:<16} {r['target_bytes']:>8} {r['wire_bytes']:>7} "
             f"{r['legacy_mb_s']:>9.1f} {r['new_mb_s']:>9.1f} "
             f"{r['speedup']:>7.2f}x {parity:>7}"
+        )
+    index = result["index"]
+    lines.append("")
+    lines.append(
+        f"index of the {index['base_bytes']} B reference base "
+        f"(gates {'ok' if all(index['gates'].values()) else 'FAIL'}):"
+    )
+    for name in ("full", "light"):
+        g = index[name]
+        against = (
+            f", {g['build_ratio']}x the legacy build "
+            f"(ceiling {FULL_BUILD_CEILING}x)"
+            if name == "full"
+            else ""
+        )
+        lines.append(
+            f"  {name:<5} {g['chunk_size']:>2}/{g['step']}: "
+            f"{g['index_build_ms']:.2f} ms, {g['index_bytes'] / 1e6:.2f} MB, "
+            f"{g['gc_tracked_objects_per_index']} GC-tracked objects for "
+            f"{g['keys']} keys ({g['repeated_keys']} repeated){against}"
         )
     agg = result["aggregate"]
     ref = result["reference"]
@@ -307,6 +416,7 @@ def bench_delta_kernel(benchmark) -> None:
     out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     assert result["byte_parity"]["wire_identical"]
     assert result["byte_parity"]["stream_equivalent"]
+    assert all(result["index"]["gates"].values()), result["index"]
     assert result["gate_passed"], (
         f"kernel speedup {result['reference']['speedup']}x on "
         f"{result['reference']['pair']} below gate {result['gate']}x"
@@ -338,7 +448,8 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"FAIL: {ref['pair']} speedup {ref['speedup']}x below gate "
             f"{result['gate']}x, a pair regressed below {PAIR_FLOOR}x, "
-            f"or parity violated ({result['byte_parity']})",
+            f"parity violated ({result['byte_parity']}), or an index gate "
+            f"failed ({result['index']['gates']})",
             file=sys.stderr,
         )
         return 1

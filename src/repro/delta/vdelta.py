@@ -12,7 +12,9 @@ The paper (footnote 2 and Section V) describes the differ it builds on:
 :class:`VdeltaEncoder` reproduces that structure:
 
 * every position of the base-file is indexed in a hash table keyed by the
-  ``chunk_size`` (default 4) bytes starting at that position;
+  ``chunk_size`` (default 4) bytes starting at that position — a key that
+  occurs once maps straight to its position, only a repeated key carries a
+  chain of positions (see :class:`BaseIndex`);
 * at each target position the encoder probes the table, extends candidate
   matches *forwards* maximally, picks the longest, and then extends the
   chosen match *backwards* into literal bytes it had provisionally queued as
@@ -51,6 +53,22 @@ separate serialization pass.  The design is allocation-frugal:
   CPython interns small bytes hashing in C while the rolling-hash arithmetic
   pays Python bytecode per position.  The per-probe allocations the issue
   tracked are gone either way: the probe key is the only slice per position.
+* **index containers the cyclic GC never sees** — the table used to hold
+  one ``list`` per key, and a ``list`` is GC-tracked however little it
+  holds: a light index over a 34 KB page was 4,200 one-element lists, the
+  engine's 64-entry light-index LRU kept ~270k of them alive, and every
+  index build allocated thousands more containers, forcing young
+  collections and periodic full collections that re-traversed all of them
+  (a third of engine time on the end-to-end benchmark, and its 50–150 ms
+  ``classify`` outliers).  A single-occurrence key now stores a bare
+  ``int`` — a ``dict`` of ``bytes`` → ``int`` is not tracked at all — so an
+  index costs the collector one object per *repeated* key.  Chains stay
+  ``list``: ``array('i')`` chains shrink a full index 2.1 → 0.7 MB but are
+  just as tracked on CPython 3.11 and build 1.2–1.3x slower; packing the
+  chains into one flat array afterwards (3 tracked objects, 0.56 MB) costs
+  the full-geometry build +25–30 %; a flat ``prev`` array +45–65 %
+  (DESIGN.md §4 has the table).  Candidate set, probe order and the chain
+  cap are unchanged, so the wire is byte-identical.
 * **single-pass emission** — COPY fusion and RUN extraction (the old
   ``coalesce`` + ``optimize_runs`` passes) happen inline at literal-flush
   time, so the wire bytes produced are *identical* to the old
@@ -125,13 +143,16 @@ class EncodeResult:
 
 
 class BaseIndex:
-    """Hash index of a base-file: position lists keyed by byte chunks.
+    """Hash index of a base-file: positions keyed by byte chunks.
 
     Built once per base-file and reused across every target diffed against
     it — on the delta-server one base-file serves a whole class of
-    documents, so amortizing the index matters.  The kernel reads
-    ``table`` directly (one dict ``get`` per target position, no method
-    dispatch); ``candidates`` remains for the instruction-level consumers.
+    documents, so amortizing the index matters.  ``table`` maps a chunk
+    that occurs once to its position (an ``int``) and a repeated chunk to
+    the ascending ``list`` of its first ``max_chain`` positions, so the
+    index holds one GC-tracked container per repeated key instead of one
+    per key (module docstring).  The kernel reads ``table`` directly: one
+    dict ``get`` per target position, no method dispatch.
     """
 
     __slots__ = ("base", "chunk_size", "step", "table", "max_chain")
@@ -151,25 +172,19 @@ class BaseIndex:
         self.chunk_size = chunk_size
         self.step = step
         self.max_chain = max_chain
-        table: dict[bytes, list[int]] = {}
+        table: dict[bytes, int | list[int]] = {}
         get = table.get
         for pos in range(0, len(base) - chunk_size + 1, step):
             key = base[pos : pos + chunk_size]
-            chain = get(key)
-            if chain is None:
-                table[key] = [pos]
-            elif len(chain) < max_chain:
-                chain.append(pos)
+            entry = get(key)
+            if entry is None:
+                table[key] = pos
+            elif entry.__class__ is int:
+                if max_chain > 1:
+                    table[key] = [entry, pos]
+            elif len(entry) < max_chain:
+                entry.append(pos)
         self.table = table
-
-    @property
-    def _table(self) -> dict[bytes, list[int]]:
-        # Pre-rewrite private name, kept for external pokers.
-        return self.table
-
-    def candidates(self, key: bytes) -> list[int]:
-        """Base-file positions whose chunk equals ``key`` (possibly empty)."""
-        return self.table.get(key, [])
 
     def __len__(self) -> int:
         return len(self.table)
@@ -211,6 +226,10 @@ class VdeltaEncoder:
             raise ValueError(
                 f"min_match ({self.min_match}) must be >= chunk_size "
                 f"({self.chunk_size}): shorter matches can never be probed"
+            )
+        if self.max_candidates < 1:
+            raise ValueError(
+                f"max_candidates must be >= 1, got {self.max_candidates}"
             )
 
     def index(self, base: bytes) -> BaseIndex:
@@ -324,12 +343,25 @@ class VdeltaEncoder:
         pos = 0
 
         while pos + chunk <= n:
-            cands = table_get(target[pos : pos + chunk])
-            if cands is None:
+            entry = table_get(target[pos : pos + chunk])
+            if entry is None:
                 pos += 1
                 continue
 
             # --- best match among the chain tail (no list copy) --------
+            # A key seen once in the base maps straight to its position;
+            # only a repeated key carries a chain.  Recent positions tend
+            # to be better for evolving documents, so a chain is probed
+            # from its end, at most ``max_candidates`` deep.
+            if entry.__class__ is int:
+                cand = entry
+                j = stop = 0
+            else:
+                j = len(entry) - 1
+                stop = j - max_candidates + 1
+                if stop < 0:
+                    stop = 0
+                cand = entry[j]
             remaining = n - pos
             # `needed` is the shortest prefix a candidate must share to
             # *beat* the best match so far; one startswith call rejects
@@ -338,51 +370,47 @@ class VdeltaEncoder:
             needed = target[pos : pos + min_match] if remaining >= min_match else target[pos:]
             best_off = -1
             best_len = 0
-            j = len(cands)
-            stop = j - max_candidates
-            if stop < 0:
-                stop = 0
-            # Recent positions tend to be better for evolving documents;
-            # probe from the end of the chain first.
-            while j > stop:
+            while True:
+                if base_startswith(needed, cand):
+                    # Forward extension: geometric windows compared in
+                    # place via startswith(piece, offset), bisect inside
+                    # the first differing window.  Computes the exact
+                    # common prefix.
+                    length = len(needed)
+                    max_len = n_base - cand
+                    if remaining < max_len:
+                        max_len = remaining
+                    step = 16
+                    while length < max_len:
+                        window = max_len - length
+                        if window > step:
+                            window = step
+                        piece = target[pos + length : pos + length + window]
+                        if base_startswith(piece, cand + length):
+                            length += window
+                            if step < 16384:
+                                step *= 4
+                            continue
+                        lo, hi = 0, window
+                        while lo < hi:
+                            mid = (lo + hi + 1) // 2
+                            if base_startswith(piece[:mid], cand + length):
+                                lo = mid
+                            else:
+                                hi = mid - 1
+                        length += lo
+                        break
+                    # Passing the `needed` filter guarantees a strictly
+                    # longer match than the current best.
+                    best_len = length
+                    best_off = cand
+                    if best_len >= good_enough or best_len >= remaining:
+                        break
+                    needed = target[pos : pos + best_len + 1]
+                if j <= stop:
+                    break
                 j -= 1
-                cand = cands[j]
-                if not base_startswith(needed, cand):
-                    continue
-                # Forward extension: geometric windows compared in place
-                # via startswith(piece, offset), bisect inside the first
-                # differing window.  Computes the exact common prefix.
-                length = len(needed)
-                max_len = n_base - cand
-                if remaining < max_len:
-                    max_len = remaining
-                step = 16
-                while length < max_len:
-                    window = max_len - length
-                    if window > step:
-                        window = step
-                    piece = target[pos + length : pos + length + window]
-                    if base_startswith(piece, cand + length):
-                        length += window
-                        if step < 16384:
-                            step *= 4
-                        continue
-                    lo, hi = 0, window
-                    while lo < hi:
-                        mid = (lo + hi + 1) // 2
-                        if base_startswith(piece[:mid], cand + length):
-                            lo = mid
-                        else:
-                            hi = mid - 1
-                    length += lo
-                    break
-                # Passing the `needed` filter guarantees a strictly longer
-                # match than the current best.
-                best_len = length
-                best_off = cand
-                if best_len >= good_enough or best_len >= remaining:
-                    break
-                needed = target[pos : pos + best_len + 1]
+                cand = entry[j]
             if best_len < min_match:
                 pos += 1
                 continue

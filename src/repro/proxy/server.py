@@ -37,7 +37,13 @@ verifying end-to-end.
 from __future__ import annotations
 
 from repro.http.messages import HEADER_IF_NONE_MATCH, Request, Response
-from repro.metrics import family_lines, render_table, stats_dict, stats_lines
+from repro.metrics import (
+    MetricsRegistry,
+    family_lines,
+    render_table,
+    stats_dict,
+    stats_lines,
+)
 from repro.proxy.cache import LRUCache
 from repro.proxy.proxy import ProxyStats
 from repro.serve.aio import ConnectionPool, PeerUnavailable, ServerShell
@@ -80,6 +86,7 @@ class ProxyHTTPServer(ServerShell):
     ) -> None:
         if upstream_connections < 1:
             raise ValueError("upstream_connections must be >= 1")
+        shell_options.setdefault("metrics", MetricsRegistry())
         super().__init__(
             self.handle,
             health=self.health,
@@ -228,7 +235,8 @@ class ProxyHTTPServer(ServerShell):
         if served.started_at is not None:
             uptime["uptime_seconds"] = self.clock() - served.started_at
         return (
-            stats_lines(self.stats, "repro_proxy_")
+            self.metrics.lines()  # write-stage timing, collector pauses
+            + stats_lines(self.stats, "repro_proxy_")
             + stats_lines(
                 self.cache.stats, "repro_proxy_cache_", gauges=self.cache.gauges()
             )

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import gc
 import itertools
 import json
 import logging
@@ -228,8 +229,13 @@ class ServerShell:
         self.max_connections = max_connections
         self.clock = clock or time.monotonic
         self.serve_stats = ServeStats()
-        #: registry receiving the serialize+drain stage timing, if any
+        #: registry receiving the serialize+drain stage timing and the
+        #: collector's pauses, if any
         self.metrics = metrics
+        # (generation, seconds) per collection, stashed by _on_gc and moved
+        # into the registry by _flush_gc_pauses.
+        self._gc_pauses: deque[tuple[int, float]] = deque()
+        self._gc_started = 0.0
         self.request_timeout = request_timeout
         self.idle_timeout = idle_timeout
         self.drain_timeout = drain_timeout
@@ -279,6 +285,8 @@ class ServerShell:
         # Kept: a closed listener no longer knows where it was bound.
         self._address = self._servers[0].sockets[0].getsockname()[:2]
         self.serve_stats.started_at = self.clock()
+        if self.metrics is not None:
+            gc.callbacks.append(self._on_gc)
 
     async def serve_forever(self) -> None:
         if not self._servers:
@@ -297,6 +305,8 @@ class ServerShell:
         if self.closing:
             return
         self.closing = True
+        with contextlib.suppress(ValueError):  # never started, or no registry
+            gc.callbacks.remove(self._on_gc)
         started = self.clock()
         for server in self._servers:
             server.close()
@@ -329,6 +339,31 @@ class ServerShell:
 
     async def __aexit__(self, *exc_info: object) -> None:
         await self.close()
+
+    # -- collector pauses ------------------------------------------------------
+
+    def _on_gc(self, phase: str, info: dict) -> None:
+        """``gc.callbacks`` hook, registered from ``start()`` to ``close()``.
+
+        Runs inside the collector, on whichever thread allocated last —
+        possibly one that holds the registry's lock — so it only stashes.
+        """
+        if phase == "start":
+            self._gc_started = time.perf_counter()
+        else:
+            self._gc_pauses.append(
+                (info["generation"], time.perf_counter() - self._gc_started)
+            )
+
+    def _flush_gc_pauses(self) -> None:
+        while self._gc_pauses:
+            generation, seconds = self._gc_pauses.popleft()
+            self.metrics.observe(
+                "gc_pause_seconds",
+                seconds,
+                {"generation": str(generation)},
+                help="stop-the-world cyclic GC collections (count = collections)",
+            )
 
     # -- connection handling ---------------------------------------------------
 
@@ -446,6 +481,7 @@ class ServerShell:
             content_type = "application/json"
         elif remainder == METRICS_PATH:
             self.serve_stats.metrics_scrapes += 1
+            self._flush_gc_pauses()
             body = "\n".join(await self._metrics_lines()) + "\n"
             content_type = PROMETHEUS_CONTENT_TYPE
         else:
@@ -476,4 +512,6 @@ class ServerShell:
                 {"stage": "write"},
                 help="serve-layer stage durations (serialize + drain)",
             )
+            # Per response, so the stash stays short between scrapes.
+            self._flush_gc_pauses()
         self.serve_stats.on_response(response, len(wire), latency)

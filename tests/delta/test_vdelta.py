@@ -1,12 +1,14 @@
 """Unit and property tests for the Vdelta-style encoder."""
 
+import gc
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.delta.apply import replay
+from repro.delta.apply import apply_delta, replay
 from repro.delta.instructions import Add, Copy
 from repro.delta.vdelta import BaseIndex, VdeltaEncoder
 
@@ -135,6 +137,10 @@ class TestEncoderConfig:
         with pytest.raises(ValueError):
             encoder.encode_with_index(index, b"target")
 
+    def test_zero_candidates_rejected(self):
+        with pytest.raises(ValueError):
+            VdeltaEncoder(max_candidates=0)
+
 
 class TestStats:
     def test_stats_sum_to_target_length(self):
@@ -180,3 +186,99 @@ def test_roundtrip_on_edited_base(base, splice_at, insert):
     # Derived targets should mostly be copies once they are long enough.
     if len(base) >= 100 and not insert:
         assert result.stats.match_ratio > 0.5
+
+
+# -- index representation ------------------------------------------------------
+
+
+def reference_table(base, chunk_size, step, max_chain=64):
+    """The index as one position list per key: what ``BaseIndex`` must enumerate."""
+    table: dict[bytes, list[int]] = {}
+    for pos in range(0, len(base) - chunk_size + 1, step):
+        chain = table.setdefault(base[pos : pos + chunk_size], [])
+        if len(chain) < max_chain:
+            chain.append(pos)
+    return table
+
+
+def positions(entry) -> list[int]:
+    return [entry] if isinstance(entry, int) else entry
+
+
+# Sixteen 16-byte words with no byte value in common, so ``WORDS[k][:4]``
+# and ``WORDS[k]`` occur exactly as often as word k does, at positions
+# every geometry below indexes.
+WORDS = [bytes(range(16 * k, 16 * k + 16)) for k in range(16)]
+FORCED_COUNTS = (1, 2, 64, 65, 200)  # once, a pair, the chain cap, past it
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    geometry=st.sampled_from([(4, 1), (4, 8), (16, 1), (16, 8)]),
+    filler=st.lists(st.integers(len(FORCED_COUNTS), 15), max_size=40),
+    noise=st.binary(max_size=64),
+    rng=st.randoms(use_true_random=False),
+)
+def test_index_enumerates_the_reference_positions(geometry, filler, noise, rng):
+    """Every key lists the positions of the one-list-per-key builder, in
+    order and capped alike, and the kernel round-trips over that index."""
+    chunk_size, step = geometry
+    words = [WORDS[k] for k, n in enumerate(FORCED_COUNTS) for _ in range(n)]
+    words += [WORDS[k] for k in filler]
+    rng.shuffle(words)
+    base = b"".join(words) + noise
+
+    index = BaseIndex(base, chunk_size=chunk_size, step=step)
+    expected = reference_table(base, chunk_size, step)
+    assert {key: positions(entry) for key, entry in index.table.items()} == expected
+    assert len(index) == len(expected)
+    for k, count in enumerate(FORCED_COUNTS):
+        assert len(expected[WORDS[k][:chunk_size]]) == min(count, 64)
+
+    rng.shuffle(words)
+    target = noise + b"".join(words[: len(words) // 2]) + noise[::-1]
+    encoder = VdeltaEncoder(chunk_size=chunk_size, min_match=chunk_size, step=step)
+    wire = bytes(encoder.encode_wire_with_index(index, target))
+    assert apply_delta(wire, base) == target
+
+
+def tracked_growth(build) -> int:
+    """GC-tracked objects ``build()`` leaves alive, collector paused."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        kept = build()
+        return len(gc.get_objects()) - before
+    finally:
+        del kept
+        gc.enable()
+
+
+class TestIndexIsInvisibleToTheCollector:
+    """One tracked container per *repeated* key, not one per key: a warmed
+    engine keeps ~70 light indexes alive, and at one list per key that was
+    ~270k objects for every full collection to re-traverse."""
+
+    def test_light_index_of_distinct_chunks_is_a_constant(self):
+        document = random.Random(15).randbytes(32 * 1024)
+        keys = Counter(document[i : i + 16] for i in range(0, len(document) - 15, 8))
+        assert len(keys) == 4095 and max(keys.values()) == 1
+        growth = tracked_growth(lambda: BaseIndex(document, chunk_size=16, step=8))
+        assert growth <= 8
+
+    def test_full_index_tracks_repeated_keys_only(self):
+        document = (
+            b"<html><body><table>"
+            + b"".join(
+                b'<tr class="row"><td>%d</td><td>item-%05d</td></tr>\n' % (i, i * 7919)
+                for i in range(400)
+            )
+            + b"</table></body></html>"
+        )
+        keys = Counter(document[i : i + 4] for i in range(len(document) - 3))
+        repeated = sum(1 for count in keys.values() if count > 1)
+        assert 0 < repeated < len(keys) - 100
+        growth = tracked_growth(lambda: BaseIndex(document))
+        # the index object and its table, then one chain per repeated key
+        assert growth <= repeated + 2
