@@ -5,12 +5,9 @@ and ... Java-scripts enabled at the browser, to combine deltas and locally
 stored base-files" or a plug-in (Section VI-C).  :class:`DeltaClient`
 models one browser instance: a cookie jar (one *user id* per jar — two
 browsers of the same human are two users, exactly the paper's Netscape/IE
-caveat), a base-file cache, and the reconstruction logic.
-
-The client is transparent-deployment-honest: it learns about classes only
-from response headers, fetches base-files over ordinary (cachable) URLs —
-so any proxy on the path can serve them — and advertises held base-files
-with the ``X-Accept-Delta`` request header.
+caveat) and its transfer statistics, around the protocol itself
+(:class:`~repro.client.protocol.ClientProtocol`: base-file cache, delta
+application, fallbacks), which it drives synchronously.
 """
 
 from __future__ import annotations
@@ -18,23 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-import zlib
-
-from repro.delta.apply import apply_delta
-from repro.delta.codec import DEFAULT_MAX_TARGET_LENGTH
-from repro.delta.compress import decompress
-from repro.delta.errors import DeltaError
+from repro.client.protocol import ClientProtocol
 from repro.http.cookies import CookieJar
-from repro.http.messages import (
-    HEADER_ACCEPT_DELTA,
-    HEADER_CONTENT_ENCODING,
-    Request,
-    Response,
-    parse_base_ref,
-)
-from repro.url.parts import split_server
+from repro.http.messages import Request, Response
+from repro.http.sync import run_sync
 
 SendFn = Callable[[Request, float], Response]
+
+
+class DocumentUnavailable(Exception):
+    """The upstream's answer was not a document (non-200, or unusable)."""
+
+    def __init__(self, url: str, response: Response) -> None:
+        super().__init__(f"{url}: status {response.status}")
+        self.response = response
 
 
 @dataclass(slots=True)
@@ -65,8 +59,7 @@ class DeltaClient:
         self._send = send
         self.jar = jar or CookieJar()
         self.jar.ensure_uid()
-        self._base_cache: dict[str, bytes] = {}  # ref -> base-file bytes
-        self._url_ref: dict[str, str] = {}  # url -> ref it was last served under
+        self.protocol = ClientProtocol()
         self.stats = ClientStats()
 
     @property
@@ -75,121 +68,38 @@ class DeltaClient:
 
     def held_base_refs(self) -> list[str]:
         """Base-file references currently cached (diagnostics)."""
-        return sorted(self._base_cache)
+        return sorted(self.protocol.bases)
 
     def drop_base(self, ref: str) -> None:
         """Evict a cached base-file (simulates browser-cache pressure)."""
-        self._base_cache.pop(ref, None)
+        self.protocol.bases.pop(ref, None)
 
     def get(self, url: str, now: float = 0.0) -> bytes:
-        """Fetch ``url`` and return the reconstructed document."""
-        request = self._request_for(url, now)
-        response = self._send(request, now)
-        self.stats.requests += 1
-        self.stats.urls_fetched.add(url)
-        body = self._decode(url, request, response, now)
-        return body
+        """Fetch ``url`` and return the reconstructed document.
 
-    # -- internals -----------------------------------------------------------
+        Raises :class:`DocumentUnavailable` when the answer is not one.
+        """
+        user = self.jar.ensure_uid()  # (re)issue identity before snapshotting cookies
 
-    def _request_for(self, url: str, now: float) -> Request:
-        uid = self.jar.ensure_uid()  # (re)issue identity before snapshotting cookies
-        request = Request(
-            url=url,
-            cookies=self.jar.as_request_cookies(),
-            client_id=uid,
-            timestamp=now,
-        )
-        ref = self._url_ref.get(url)
-        if ref is not None and ref in self._base_cache:
-            request.headers.set(HEADER_ACCEPT_DELTA, ref)
-        return request
+        async def send(request: Request) -> Response:
+            request.cookies = self.jar.as_request_cookies()
+            request.timestamp = now
+            return self._send(request, now)
 
-    def _decode(
-        self, url: str, request: Request, response: Response, now: float
-    ) -> bytes:
-        if response.is_delta:
-            return self._decode_delta(url, response, now)
-        # Full response; remember the advertised class base (if any) and
-        # prefetch the base-file so the next request can use deltas.
-        self.stats.full_responses += 1
-        self.stats.document_bytes += response.content_length
-        self.stats.transfer_sizes.append(response.content_length)
-        ref = response.base_file_ref
-        if ref is not None:
-            self._url_ref[url] = ref
-            if ref not in self._base_cache:
-                self._fetch_base(url, ref, now)
-        return response.body
-
-    def _decode_delta(self, url: str, response: Response, now: float) -> bytes:
-        ref = response.delta_base_ref
-        assert ref is not None
-        base = self._base_cache.get(ref)
-        if base is None:
-            # Should not happen (we only advertise bases we hold); recover
-            # with a plain refetch.
-            self.stats.delta_failures += 1
-            return self._refetch_full(url, now)
-        try:
-            payload = response.body
-            if response.headers.get(HEADER_CONTENT_ENCODING) == "deflate":
-                payload = decompress(payload)
-            # The decode bound keeps a hostile/corrupt payload from forcing
-            # a giant reconstruction allocation on the client.
-            document = apply_delta(
-                payload, base, max_target_length=DEFAULT_MAX_TARGET_LENGTH
-            )
-        except (DeltaError, zlib.error):
-            # Corrupt payload or stale/corrupt base: drop the base and
-            # refetch the full document — the paper's fallback path.
-            self.stats.delta_failures += 1
-            self.drop_base(ref)
-            return self._refetch_full(url, now)
-        self.stats.deltas_applied += 1
-        self.stats.document_bytes += response.content_length
-        self.stats.transfer_sizes.append(response.content_length)
-        # A delta response may advertise a newer base (post-rebase): pick it
-        # up so future requests diff against the current generation.
-        new_ref = response.base_file_ref
-        if new_ref is not None and new_ref != ref:
-            self._url_ref[url] = new_ref
-            if new_ref not in self._base_cache:
-                self._fetch_base(url, new_ref, now)
-        return document
-
-    def _refetch_full(self, url: str, now: float) -> bytes:
-        uid = self.jar.ensure_uid()
-        request = Request(
-            url=url,
-            cookies=self.jar.as_request_cookies(),
-            client_id=uid,
-            timestamp=now,
-        )
-        response = self._send(request, now)
-        self.stats.full_responses += 1
-        self.stats.document_bytes += response.content_length
-        self.stats.transfer_sizes.append(response.content_length)
-        ref = response.base_file_ref
-        if ref is not None:
-            self._url_ref[url] = ref
-            if ref not in self._base_cache:
-                self._fetch_base(url, ref, now)
-        return response.body
-
-    def _fetch_base(self, document_url: str, ref: str, now: float) -> None:
-        server, _ = split_server(document_url)
-        class_id, version = parse_base_ref(ref)
-        base_url = f"{server}/__delta_base__/{class_id}/{version}"
-        uid = self.jar.ensure_uid()
-        request = Request(
-            url=base_url,
-            cookies=self.jar.as_request_cookies(),
-            client_id=uid,
-            timestamp=now,
-        )
-        response = self._send(request, now)
-        self.stats.base_fetches += 1
-        if response.status == 200:
-            self._base_cache[ref] = response.body
-            self.stats.base_file_bytes += response.content_length
+        outcome = run_sync(self.protocol.fetch(url, user, send))
+        stats = self.stats
+        stats.requests += 1
+        stats.urls_fetched.add(url)
+        stats.delta_failures += outcome.delta_failures
+        stats.base_fetches += outcome.base_fetches
+        stats.base_file_bytes += outcome.base_bytes
+        if outcome.document is None:
+            raise DocumentUnavailable(url, outcome.response)
+        if outcome.delta:
+            stats.deltas_applied += 1
+        else:
+            stats.full_responses += 1
+        received = outcome.response.content_length
+        stats.document_bytes += received
+        stats.transfer_sizes.append(received)
+        return outcome.document

@@ -158,7 +158,6 @@ class DocumentClass:
 
         self._full_index: BaseIndex | None = None
         self._light_index: BaseIndex | None = None
-        self._raw_full_index: BaseIndex | None = None
 
         # The MinHash sketch of the current base (see repro.core.sketch):
         # the grouper registers it in the LSH candidate index and the
@@ -340,7 +339,6 @@ class DocumentClass:
         self._pending = None
         self._full_index = None
         self._light_index = None
-        self._raw_full_index = None
         self._checksum = None
         self.base_signature = None
         self._sketch_base = None
@@ -371,7 +369,6 @@ class DocumentClass:
         self._previous_checksum = None
         self._full_index = None
         self._light_index = None
-        self._raw_full_index = None
         self.base_signature = None
         self._sketch_base = None
         # The restored version number may collide with pre-restart cache
@@ -401,26 +398,6 @@ class DocumentClass:
                 self._previous_index = self._encoder.index(self._previous)
             return self._previous_index
         return None
-
-    def exact_match_index(self) -> BaseIndex | None:
-        """Cached *full*-differ index over the best base for exact matching.
-
-        The grouper's ``exact_delta`` probe path compares a document
-        against this class's base with the full differ; rebuilding a
-        fresh index per probe made joining a class O(probes × base size).
-        The distributable base reuses :meth:`full_index` (the same index
-        delta generation uses); during the anonymization window the raw
-        base gets its own cached index, invalidated by identity when the
-        base changes.
-        """
-        if self.can_serve_deltas:
-            return self.full_index()
-        base = self._raw_base
-        if not base:
-            return None
-        if self._raw_full_index is None or self._raw_full_index.base is not base:
-            self._raw_full_index = self._encoder.index(base)
-        return self._raw_full_index
 
     def light_index(self) -> BaseIndex | None:
         """Cached light-estimator index over the best base for matching.

@@ -42,8 +42,6 @@ class GroupingConfig:
     #: Fraction ``a`` of tries spent on the most popular classes; the rest
     #: are random picks among the remaining eligible classes.
     popular_fraction: float = 0.5
-    #: Estimate closeness with the light differ instead of the full one.
-    use_light_estimator: bool = True
     #: Stop at the first matching class (the paper's preferred option)
     #: instead of probing all ``max_tries`` and picking the best match.
     first_match: bool = True

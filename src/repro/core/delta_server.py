@@ -232,7 +232,6 @@ class DeltaServer:
             estimator=self._estimator,
             class_factory=self._new_class,
             seed=self.config.seed,
-            exact_delta=self._delta_size,
             member_hook=self.store_hooks.member_added,
             hit_hook=self.store_hooks.class_hit,
             metrics=self.metrics,
@@ -300,18 +299,6 @@ class DeltaServer:
                 highest = max(highest, int(match.group(1)))
         if highest:
             self._class_ids = itertools.count(highest + 1)
-
-    def _delta_size(self, cls: DocumentClass, document: bytes) -> int | None:
-        """Exact-differ probe for the grouper, against the cached index."""
-        with cls.lock:
-            index = cls.exact_match_index()
-        if index is None:
-            return None
-        return len(
-            self._encoder.encode_wire_with_index(
-                index, document, out=self._encode_buffer()
-            )
-        )
 
     def _light_size(self, base: bytes, target: bytes) -> int:
         return self._estimator.estimate(base, target)

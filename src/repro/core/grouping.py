@@ -75,11 +75,6 @@ from repro.metrics.stats import counter
 from repro.url.parts import URLParts
 from repro.url.rules import RuleBook
 
-#: signature of the exact-delta probe: measured delta between a candidate
-#: class's (cached-index) base and the document, or None if not probeable.
-ExactDelta = Callable[[DocumentClass, bytes], "int | None"]
-
-
 @dataclass(slots=True)
 class GroupingStats:
     """Search diagnostics for Section VI-B's grouping evaluation."""
@@ -112,7 +107,6 @@ class Grouper:
         estimator: LightEstimator,
         class_factory: Callable[[str, str], DocumentClass],
         seed: int = 2002,
-        exact_delta: ExactDelta | None = None,
         member_hook: Callable[[str, str], None] | None = None,
         hit_hook: Callable[[str, int], None] | None = None,
         metrics: MetricsRegistry | None = None,
@@ -122,7 +116,6 @@ class Grouper:
         self._estimator = estimator
         self._class_factory = class_factory
         self._seed = seed
-        self._exact_delta = exact_delta
         #: persistence hook: fired once per (class_id, url) adoption so the
         #: store can journal membership; never fired during warm restart.
         self._member_hook = member_hook
@@ -547,12 +540,8 @@ class Grouper:
         cross-shard probe never blocks another shard's pipeline for the
         duration of a diff.
         """
-        if self._config.use_light_estimator:
-            with cls.lock:
-                index = cls.light_index()
-            if index is None:
-                return None
-            return self._estimator.estimate_with_index(index, document)
-        if self._exact_delta is None:
+        with cls.lock:
+            index = cls.light_index()
+        if index is None:
             return None
-        return self._exact_delta(cls, document)
+        return self._estimator.estimate_with_index(index, document)

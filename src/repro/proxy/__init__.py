@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from repro.proxy.cache import CacheStats, LRUCache
-from repro.proxy.proxy import ProxyCache, ProxyStats
-from repro.proxy.server import HEADER_PROXY_CACHE, ProxyHTTPServer
+from repro.proxy.proxy import HEADER_PROXY_CACHE, ProxyCache, ProxyPolicy, ProxyStats
+from repro.proxy.server import ProxyHTTPServer
 
 __all__ = [
     "CacheStats",
@@ -12,5 +12,6 @@ __all__ = [
     "LRUCache",
     "ProxyCache",
     "ProxyHTTPServer",
+    "ProxyPolicy",
     "ProxyStats",
 ]

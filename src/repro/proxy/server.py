@@ -9,34 +9,20 @@ different users will download the same base-files from a proxy-cache"
 behind the proxy, and that sharing is the paper's scalability argument
 for making dynamic content cachable at all.
 
-Properties:
-
-* **Delta-unaware.**  The proxy never parses delta payloads or
-  ``X-Delta`` headers; it keys purely on URL, method, and the standard
-  cachability markers.  Deltas and personalized documents pass through
-  untouched — the transparent-deployment point of Section VI-C.
-* **Byte-budgeted LRU with TTL** (:class:`~repro.proxy.cache.LRUCache`):
-  entries past their TTL are *revalidated*, not re-transferred — the
-  proxy replays the cached body's checksum in ``If-None-Match`` and the
-  delta-server answers ``304 Not Modified`` when its base-file still has
-  those exact bytes (base-file versions are immutable, so a refresh
-  normally costs headers, not bodies).
-* **Same shell and pool as every tier** (:mod:`repro.serve.aio`):
-  keep-alive both sides, connection slots, per-request ``X-Trace-Id``
-  (forwarded upstream, so a miss carries one id over both hops), its own
-  ``/__metrics__`` (cache and traffic families) and ``/__health__``, so a
-  hierarchy of processes can each be scraped independently.
-
-Every response served from cache carries ``X-Proxy-Cache: hit`` (or
-``revalidated``); forwarded answers carry ``miss`` (``bypass`` for
-non-GETs).  Bodies are byte-identical to what the upstream would serve:
-hits replay the stored body whose ``X-Body-Digest`` clients keep
-verifying end-to-end.
+What it caches, revalidates and forwards is decided by
+:class:`~repro.proxy.proxy.ProxyPolicy` — the same object the
+simulation's ``ProxyCache`` runs.  This module is the policy's asyncio
+driver: ``forward`` is a round-trip on the pooled upstream connections,
+and the tier adds what only a live process has — ``Via``, wire-byte
+accounting, ``502`` for an unreachable upstream, and the shell every tier
+shares (:mod:`repro.serve.aio`: keep-alive both sides, connection slots,
+per-request ``X-Trace-Id`` forwarded upstream so a miss carries one id
+over both hops, its own ``/__metrics__`` and ``/__health__``).
 """
 
 from __future__ import annotations
 
-from repro.http.messages import HEADER_IF_NONE_MATCH, Request, Response
+from repro.http.messages import Request, Response
 from repro.metrics import (
     MetricsRegistry,
     family_lines,
@@ -44,15 +30,10 @@ from repro.metrics import (
     stats_dict,
     stats_lines,
 )
-from repro.proxy.cache import LRUCache
-from repro.proxy.proxy import ProxyStats
+from repro.proxy.proxy import HEADER_PROXY_CACHE, ProxyPolicy  # noqa: F401 (re-exported)
 from repro.serve.aio import ConnectionPool, PeerUnavailable, ServerShell
-from repro.serve.protocol import HEADER_BODY_DIGEST, ParsedResponse
 
 PROXY_SOFTWARE = "repro-proxy/1.0"
-
-#: response header reporting how the proxy answered
-HEADER_PROXY_CACHE = "X-Proxy-Cache"
 
 #: default TTL before a cached base-file is revalidated upstream
 DEFAULT_TTL = 300.0
@@ -96,8 +77,9 @@ class ProxyHTTPServer(ServerShell):
         )
         self.upstream_host = upstream_host
         self.upstream_port = upstream_port
-        self.cache = LRUCache(capacity_bytes, ttl=ttl)
-        self.stats = ProxyStats()
+        self.policy = ProxyPolicy(capacity_bytes, ttl)
+        self.cache = self.policy.cache
+        self.stats = self.policy.stats
         self._upstream = ConnectionPool(
             upstream_host,
             upstream_port,
@@ -113,7 +95,7 @@ class ProxyHTTPServer(ServerShell):
 
     async def handle(self, request: Request) -> Response:
         try:
-            response = await self._lookup_or_forward(request)
+            response = await self.policy.serve(request, self.clock(), self._forward)
         except PeerUnavailable as exc:
             self.stats.upstream_errors += 1
             response = Response(status=502, body=f"upstream error: {exc}".encode())
@@ -123,92 +105,11 @@ class ProxyHTTPServer(ServerShell):
     def stamp(self, response: Response) -> None:
         response.headers.set("Via", f"1.1 {PROXY_SOFTWARE}")
 
-    async def _lookup_or_forward(self, request: Request) -> Response:
-        self.stats.requests += 1
-        if request.method != "GET":
-            # A cachable 200 to a POST is the side-effect's answer, not
-            # the resource's representation: never stored, never served
-            # from the store — but still a counted lookup so hit_rate
-            # reflects every request the proxy answered.
-            self.stats.bypassed += 1
-            self.cache.note_bypass()
-            upstream = await self._forward(request)
-            return self._deliver(upstream.response, "bypass")
-        now = self.clock()
-        found = self.cache.lookup(request.url, now)
-        if found is not None:
-            cached, fresh = found
-            if fresh:
-                return self._deliver(self._copy(cached), "hit")
-            refreshed = await self._revalidate(request, cached, now)
-            if refreshed is not None:
-                return refreshed
-        upstream = await self._forward(request)
-        response = upstream.response
-        if response.status == 200 and response.cachable:
-            self.cache.put(request.url, response, now)
-        elif found is not None:
-            # The stale entry is not coming back (upstream stopped serving
-            # this URL, or stopped marking it cachable): drop it.
-            self.cache.invalidate(request.url)
-        return self._deliver(self._copy(response), "miss")
-
-    async def _revalidate(
-        self, request: Request, cached: Response, now: float
-    ) -> Response | None:
-        """Refresh a TTL-expired entry with a checksum-conditional fetch.
-
-        Returns the response to serve, or ``None`` to fall through to an
-        unconditional forward (no digest to validate against).
-        """
-        digest = cached.headers.get(HEADER_BODY_DIGEST)
-        if digest is None:
-            return None
-        conditional = Request(
-            url=request.url,
-            method=request.method,
-            headers=request.headers.copy(),
-            cookies=dict(request.cookies),
-            client_id=request.client_id,
-        )
-        conditional.headers.set(HEADER_IF_NONE_MATCH, digest)
-        self.stats.revalidations += 1
-        upstream = await self._forward(conditional)
-        response = upstream.response
-        if response.status == 304:
-            # The upstream's bytes still match the cached checksum: the
-            # refresh cost headers, not a body transfer.
-            self.stats.revalidated += 1
-            self.cache.refresh(request.url, now)
-            return self._deliver(self._copy(cached), "revalidated")
-        if response.status == 200 and response.cachable:
-            self.cache.put(request.url, response, now)
-        else:
-            self.cache.invalidate(request.url)
-        return self._deliver(self._copy(response), "miss")
-
-    async def _forward(self, request: Request) -> ParsedResponse:
-        """One upstream round-trip with wire/body accounting."""
+    async def _forward(self, request: Request) -> Response:
+        """One upstream round-trip; the wire side of the traffic accounting."""
         parsed = await self._upstream.exchange(request)
-        self.stats.upstream_requests += 1
         self.stats.upstream_wire_bytes += parsed.wire_bytes
-        self.stats.upstream_bytes += parsed.response.content_length
-        return parsed
-
-    @staticmethod
-    def _copy(response: Response) -> Response:
-        """Shallow response copy so served headers never touch the cache."""
-        return Response(
-            status=response.status,
-            body=response.body,
-            headers=response.headers.copy(),
-            cachable=response.cachable,
-        )
-
-    def _deliver(self, response: Response, state: str) -> Response:
-        response.headers.set(HEADER_PROXY_CACHE, state)
-        self.stats.downstream_bytes += response.content_length
-        return response
+        return parsed.response
 
     # -- observability ---------------------------------------------------------
 

@@ -24,7 +24,8 @@ Modules:
   origin site with injectable latency and structured fault plans
   (:mod:`repro.resilience.faults`).
 * :mod:`repro.serve.loadgen` — :class:`LoadGenerator`, closed/open-loop
-  trace replay with client-side delta reconstruction and verification.
+  trace replay: the socket driver of :mod:`repro.client.protocol`, with
+  verification of every reconstructed byte.
 * :mod:`repro.serve.stats` — :class:`ServeStats`, live counters.
 """
 

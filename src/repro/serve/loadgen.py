@@ -3,9 +3,10 @@
 The client side of the live capacity experiment (Section VI-C).  Replays
 a :class:`~repro.workload.trace.Trace` against a running
 :class:`~repro.serve.server.DeltaHTTPServer`, acting as the whole client
-population at once: per-user base-file bookkeeping (which base each user
-holds for each URL), a shared base-file cache (the role the proxy tier
-plays in Fig. 2), delta reconstruction, and byte-for-byte verification.
+population at once: one :class:`~repro.client.protocol.ClientProtocol`
+(per-user base refs, a base-file cache shared across users — the role the
+proxy tier plays in Fig. 2 — and delta reconstruction) driven over real
+connections, with byte-for-byte verification of what it reconstructs.
 
 Two arrival disciplines:
 
@@ -45,35 +46,23 @@ import asyncio
 import heapq
 import random
 import time
-import zlib
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable
+from typing import Callable
 
-from repro.core.delta_server import DeltaServer
-from repro.delta.apply import apply_delta
-from repro.delta.codec import DEFAULT_MAX_TARGET_LENGTH
-from repro.delta.compress import decompress
-from repro.delta.errors import DeltaError
-from repro.http.messages import (
-    HEADER_ACCEPT_DELTA,
-    HEADER_CONTENT_ENCODING,
-    HEADER_TRACE_ID,
-    Request,
-    Response,
-    parse_base_ref,
-)
+from repro.client.protocol import ClientProtocol, FetchOutcome
+from repro.http.messages import HEADER_TRACE_ID, Request, Response
 from repro.metrics import LatencySample, render_table
 from repro.serve.protocol import (
     HEADER_BODY_DIGEST,
     HEADER_SERVED_AT,
     ConnectionClosedError,
+    ParsedResponse,
     ProtocolError,
     digest_matches,
     read_response,
     serialize_request,
 )
-from repro.url.parts import split_server
 from repro.workload.trace import Trace, TraceRecord
 
 #: ``retries_by_status`` key for transport-level retries (reset/refused/
@@ -261,10 +250,11 @@ class LoadGenerator:
         self.config = config
         self._verify_render = verify_render
         self._rng = random.Random(config.seed)
-        #: ref -> base-file bytes, shared across users (the proxy's role)
-        self._base_cache: dict[str, bytes] = {}
-        #: (user, url) -> base ref the user would diff against
-        self._url_refs: dict[tuple[str, str], str] = {}
+        #: one protocol instance for the whole population: per-user base
+        #: refs, base-files shared across users (the proxy's role)
+        self.protocol = ClientProtocol(
+            intact=_digest_intact if config.verify else None
+        )
 
     # -- public API ------------------------------------------------------------
 
@@ -283,7 +273,7 @@ class LoadGenerator:
 
     def held_base_refs(self) -> list[str]:
         """Base-file refs currently cached (diagnostics)."""
-        return sorted(self._base_cache)
+        return sorted(self.protocol.bases)
 
     # -- arrival disciplines ---------------------------------------------------
 
@@ -408,7 +398,7 @@ class LoadGenerator:
 
     async def _roundtrip_retrying(
         self, conn: _Connection, request: Request, report: LoadReport
-    ):
+    ) -> ParsedResponse:
         """One roundtrip with transport-level retries.
 
         Resets, refused reconnects, and closes mid-response (a SIGKILLed
@@ -433,7 +423,7 @@ class LoadGenerator:
 
     async def _roundtrip(
         self, conn: _Connection, request: Request, report: LoadReport
-    ):
+    ) -> ParsedResponse:
         wire = serialize_request(request)
         report.wire_bytes_out += len(wire)
         conn.writer.write(wire)
@@ -451,14 +441,22 @@ class LoadGenerator:
     ) -> bool:
         """Issue one trace record; returns False if the connection died."""
         report.requests += 1
+        #: (answer, latency) of every round-trip, in order
+        exchanges: list[tuple[ParsedResponse, float]] = []
+
+        async def send(request: Request) -> Response:
+            exchanges.append(await self._exchange(conn, request, report))
+            return exchanges[-1][0].response
+
         try:
-            await self._fetch_document(conn, record.url, record.user, report)
+            outcome = await self.protocol.fetch(record.url, record.user, send)
         except asyncio.TimeoutError:
             report.timeouts += 1
             return False
         except (ProtocolError, ConnectionError, OSError):
             report.errors += 1
             return False
+        self._fold(record, outcome, exchanges, report)
         return conn.alive
 
     async def _reopen(self, conn: _Connection) -> None:
@@ -468,134 +466,63 @@ class LoadGenerator:
         conn.reader, conn.writer = fresh.reader, fresh.writer
         conn.alive = True
 
-    async def _fetch_document(
-        self, conn: _Connection, url: str, user: str, report: LoadReport
-    ) -> None:
-        request = Request(url=url, cookies={"uid": user}, client_id=user)
-        held = self._url_refs.get((user, url))
-        if held is not None and held in self._base_cache:
-            request.headers.set(HEADER_ACCEPT_DELTA, held)
+    async def _exchange(
+        self, conn: _Connection, request: Request, report: LoadReport
+    ) -> tuple[ParsedResponse, float]:
+        """One request to its final answer, with the last attempt's latency.
+
+        ``502``/``503``/``504`` are transient server-side conditions: back
+        off (capped exponential) and try again — the retrying roundtrip
+        reconnects if the server closed the connection, which 503
+        rejections do.
+        """
         attempt = 0
         while True:
             started = time.perf_counter()
             parsed = await self._roundtrip_retrying(conn, request, report)
             latency = time.perf_counter() - started
-            response = parsed.response
-            report.status_counts[response.status] += 1
-            if response.status not in (502, 503, 504):
-                break
-            if attempt < self.config.retries:
-                # Transient server-side condition: back off (capped
-                # exponential) and try again (the retrying roundtrip
-                # reconnects if the server closed the connection —
-                # 503 rejections do).
-                attempt += 1
-                report.retries_by_status[response.status] += 1
-                await asyncio.sleep(self._retry_delay(attempt))
-                continue
+            status = parsed.response.status
+            report.status_counts[status] += 1
+            if status not in (502, 503, 504) or attempt >= self.config.retries:
+                return parsed, latency
+            attempt += 1
+            report.retries_by_status[status] += 1
+            await asyncio.sleep(self._retry_delay(attempt))
+
+    def _fold(
+        self, record: TraceRecord, outcome: FetchOutcome,
+        exchanges: list[tuple[ParsedResponse, float]], report: LoadReport,
+    ) -> None:
+        """Account one fetch outcome in the report."""
+        response = outcome.response
+        report.delta_failures += outcome.delta_failures
+        report.verify_failures += outcome.damaged
+        report.base_fetches += outcome.base_fetches
+        report.base_bytes += outcome.base_bytes
+        if response.degraded is not None:
+            report.degraded += 1
+        document = outcome.document
+        if document is None:
             if response.status == 503:
                 report.rejected += 1
             else:
                 report.errors += 1
             return
-        if response.degraded is not None:
-            report.degraded += 1
-        if response.status != 200:
-            report.errors += 1
-            return
-        document = self._reconstruct(url, user, response, report)
-        if document is None:
-            # Unusable delta (lost base): the paper's fallback is a plain
-            # refetch, which the server answers with a full response.
-            self._url_refs.pop((user, url), None)
-            parsed = await self._roundtrip_retrying(
-                conn, Request(url=url, cookies={"uid": user}, client_id=user), report
-            )
-            response = parsed.response
-            if response.status != 200:
-                report.errors += 1
-                return
-            document = self._reconstruct(url, user, response, report)
-            if document is None:
-                report.errors += 1
-                return
         report.completed += 1
-        report.note_latency(
-            latency, response.headers.get(HEADER_TRACE_ID) or "-", url
-        )
-        report.document_wire_bytes += parsed.wire_bytes
-        report.document_bytes += len(document)
-        # Adopt the advertised base-file (full responses advertise the
-        # class base; post-rebase deltas advertise the upgrade).
-        ref = response.base_file_ref
-        if ref is not None:
-            self._url_refs[(user, url)] = ref
-            if ref not in self._base_cache:
-                await self._fetch_base(conn, url, user, ref, report)
-        self._check_render(url, user, response, document, report)
-
-    def _reconstruct(
-        self, url: str, user: str, response: Response, report: LoadReport
-    ) -> bytes | None:
-        """Turn a document response into document bytes, verifying it."""
-        if response.is_delta:
-            ref = response.delta_base_ref
-            base = self._base_cache.get(ref) if ref else None
-            if base is None:
-                report.delta_failures += 1
-                return None
-            payload = response.body
-            try:
-                if response.headers.get(HEADER_CONTENT_ENCODING) == "deflate":
-                    payload = decompress(payload)
-                # apply_delta checks the wire checksum: success IS
-                # byte-for-byte verification of the reconstruction.  The
-                # decode bound rejects payloads that would reconstruct
-                # more than the engine would ever serve.
-                document = apply_delta(
-                    payload, base, max_target_length=DEFAULT_MAX_TARGET_LENGTH
-                )
-            except (DeltaError, zlib.error):
-                report.delta_failures += 1
-                self._base_cache.pop(ref, None)
-                return None
+        if outcome.delta:
             report.deltas += 1
-            return document
-        if self.config.verify and not digest_matches(
-            response.headers.get(HEADER_BODY_DIGEST), response.body
-        ):
-            report.verify_failures += 1
-        report.fulls += 1
-        return response.body
-
-    async def _fetch_base(
-        self, conn: _Connection, document_url: str, user: str, ref: str,
-        report: LoadReport,
-    ) -> None:
-        server, _ = split_server(document_url)
-        try:
-            class_id, version = parse_base_ref(ref)
-        except ValueError:
-            return
-        base_url = DeltaServer.base_file_url(server, class_id, version)
-        request = Request(url=base_url, cookies={"uid": user}, client_id=user)
-        try:
-            parsed = await self._roundtrip_retrying(conn, request, report)
-        except (asyncio.TimeoutError, ProtocolError, ConnectionError, OSError):
-            report.errors += 1
-            conn.alive = False
-            return
-        response = parsed.response
-        report.base_fetches += 1
-        if response.status != 200:
-            return
-        if self.config.verify and not digest_matches(
-            response.headers.get(HEADER_BODY_DIGEST), response.body
-        ):
-            report.verify_failures += 1
-            return
-        self._base_cache[ref] = response.body
-        report.base_bytes += len(response.body)
+        else:
+            report.fulls += 1
+        # Latency is the first answer's; the wire size is that of the
+        # answer the document came from (the refetch's after a bad delta).
+        report.note_latency(
+            exchanges[0][1], response.headers.get(HEADER_TRACE_ID) or "-", record.url
+        )
+        report.document_wire_bytes += next(
+            parsed.wire_bytes for parsed, _ in exchanges if parsed.response is response
+        )
+        report.document_bytes += len(document)
+        self._check_render(record.url, record.user, response, document, report)
 
     def _check_render(
         self, url: str, user: str, response: Response, document: bytes,
@@ -618,6 +545,10 @@ class LoadGenerator:
         expected = self._verify_render(url, user, served_at)
         if expected is not None and expected != document:
             report.verify_failures += 1
+
+
+def _digest_intact(response: Response) -> bool:
+    return digest_matches(response.headers.get(HEADER_BODY_DIGEST), response.body)
 
 
 async def replay_trace(

@@ -170,6 +170,25 @@ def _keep_alive(version: str, headers: Headers) -> bool:
     return "close" not in connection
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def _strict_int(token: str, what: str, *, base: int = 10) -> int:
+    """Parse a framing number made of ASCII (hex) digits only.
+
+    ``int()`` also takes a sign, underscores, surrounding whitespace, a
+    ``0x`` prefix and non-ASCII digits; a proxy and its upstream reading
+    one length two ways is the request-smuggling class, so none pass.
+    """
+    if base == 16:
+        valid = bool(token) and _HEX_DIGITS.issuperset(token)
+    else:
+        valid = token.isascii() and token.isdigit()
+    if not valid:
+        raise ProtocolError(f"bad {what} {token!r}")
+    return int(token, base)
+
+
 async def _read_headers(reader: _CountingReader) -> Headers:
     headers = Headers()
     count = 0
@@ -186,7 +205,9 @@ async def _read_headers(reader: _CountingReader) -> Headers:
         name, sep, value = text.partition(":")
         if not sep or not name.strip():
             raise ProtocolError(f"malformed header line {text!r}")
-        headers.set(name.strip(), value.strip())
+        # Optional whitespace is SP / HTAB; str.strip() would also eat
+        # \x85 and \xa0 and let "\xa05" through as a length.
+        headers.set(name.strip(), value.strip(" \t"))
 
 
 async def _read_chunked(reader: _CountingReader) -> bytes:
@@ -195,12 +216,9 @@ async def _read_chunked(reader: _CountingReader) -> bytes:
         line = await reader.readline()
         if not line:
             raise ConnectionClosedError("connection closed inside chunked body")
-        size_token = line.strip().split(b";", 1)[0]
-        try:
-            size = int(size_token, 16)
-        except ValueError as exc:
-            raise ProtocolError(f"bad chunk size {size_token!r}") from exc
-        if size < 0 or len(body) + size > MAX_BODY_BYTES:
+        size_token = line.rstrip(b"\r\n").split(b";", 1)[0]
+        size = _strict_int(size_token.decode("latin-1"), "chunk size", base=16)
+        if len(body) + size > MAX_BODY_BYTES:
             raise ProtocolError("chunked body too large")
         if size == 0:
             # Trailer section: consume until the terminating blank line.
@@ -222,11 +240,8 @@ async def _read_body(
         return await _read_chunked(reader)
     length_value = headers.get("Content-Length")
     if length_value is not None:
-        try:
-            length = int(length_value)
-        except ValueError as exc:
-            raise ProtocolError(f"bad Content-Length {length_value!r}") from exc
-        if length < 0 or length > MAX_BODY_BYTES:
+        length = _strict_int(length_value, "Content-Length")
+        if length > MAX_BODY_BYTES:
             raise ProtocolError(f"unacceptable Content-Length {length}", status=413)
         return await reader.readexactly(length) if length else b""
     if eof_delimited_ok:
@@ -336,10 +351,9 @@ async def read_response(reader: asyncio.StreamReader) -> ParsedResponse:
     parts = text.split(None, 2)
     if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
         raise ProtocolError(f"malformed status line {text!r}")
-    try:
-        status = int(parts[1])
-    except ValueError as exc:
-        raise ProtocolError(f"malformed status code {parts[1]!r}") from exc
+    status = _strict_int(parts[1], "status code")
+    if not 100 <= status <= 599:
+        raise ProtocolError(f"bad status code {status}")
     headers = await _read_headers(counting)
     keep_alive = _keep_alive(parts[0], headers)
     body = await _read_body(counting, headers, eof_delimited_ok=not keep_alive)

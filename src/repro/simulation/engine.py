@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.client.browser import DeltaClient
+from repro.client.browser import DeltaClient, DocumentUnavailable
 from repro.core.config import DeltaServerConfig
 from repro.core.delta_server import DeltaServer
 from repro.http.cookies import CookieJar
@@ -134,7 +134,12 @@ class Simulation:
             client = self.client_for(record.user)
             before_doc = client.stats.document_bytes
             before_base = client.stats.base_file_bytes
-            body = client.get(record.url, record.timestamp)
+            try:
+                body = client.get(record.url, record.timestamp)
+            except DocumentUnavailable as unavailable:
+                # An error page passes through the delta-server untouched;
+                # it is checked against the origin's like any other body.
+                body = unavailable.response.body
             report.requests += 1
             if self.config.verify:
                 direct = self._direct_render(record.user, record.url, record.timestamp)

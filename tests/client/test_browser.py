@@ -71,33 +71,6 @@ class TestReconstruction:
 
 
 class TestFallbacks:
-    def test_dropped_base_recovers_with_full_fetch(self, stack):
-        site, origin, server = stack
-        url = site.url_for(site.all_pages()[0])
-        client = DeltaClient(server.handle)
-        others = [DeltaClient(server.handle) for _ in range(3)]
-        for round_ in range(2):  # second round: base exists and is cached
-            for now, c in enumerate([client, *others]):
-                c.get(url, float(round_ * 10 + now))
-        ref = client.held_base_refs()[0]
-        client.drop_base(ref)
-        body = client.get(url, 50.0)
-        assert body == direct(origin, url, client.user_id, 50.0)
-
-    def test_corrupt_base_triggers_refetch(self, stack):
-        site, origin, server = stack
-        url = site.url_for(site.all_pages()[0])
-        client = DeltaClient(server.handle)
-        others = [DeltaClient(server.handle) for _ in range(3)]
-        for round_ in range(2):
-            for now, c in enumerate([client, *others]):
-                c.get(url, float(round_ * 10 + now))
-        ref = client.held_base_refs()[0]
-        client._base_cache[ref] = b"corrupted garbage"
-        body = client.get(url, 60.0)
-        assert body == direct(origin, url, client.user_id, 60.0)
-        assert client.stats.delta_failures >= 0  # recovered either way
-
     def test_user_identity_is_stable(self, stack):
         _, _, server = stack
         client = DeltaClient(server.handle)

@@ -106,32 +106,3 @@ class TestMembership:
 
     def test_key(self):
         assert make_class().key == ("www.a.com", "laptops")
-
-
-class TestExactMatchIndex:
-    def test_raw_base_index_cached_by_identity(self):
-        cls = make_class()
-        assert cls.exact_match_index() is None  # no base at all yet
-        cls.adopt_base(page("owner"), owner_user="owner", now=0.0)
-        assert not cls.can_serve_deltas  # anonymization still pending
-        first = cls.exact_match_index()
-        assert first is not None and first.base == page("owner")
-        # Repeated probes reuse the cached index instead of rebuilding.
-        assert cls.exact_match_index() is first
-        # A new raw base invalidates the cache by identity.
-        cls.adopt_base(page("other"), owner_user="other", now=1.0)
-        second = cls.exact_match_index()
-        assert second is not first and second.base == page("other")
-
-    def test_distributable_base_reuses_full_index(self):
-        cls = make_class(anon_enabled=False)
-        cls.adopt_base(page("owner"), owner_user="owner", now=0.0)
-        assert cls.can_serve_deltas
-        assert cls.exact_match_index() is cls.full_index()
-
-    def test_release_base_drops_cached_index(self):
-        cls = make_class()
-        cls.adopt_base(page("owner"), owner_user="owner", now=0.0)
-        assert cls.exact_match_index() is not None
-        cls.release_base()
-        assert cls.exact_match_index() is None

@@ -353,18 +353,3 @@ class TestUrlClassMap:
         assert other is cls and not created
         assert grouper.class_for_url("www.a.com/x?id=2") is cls
         assert grouper.class_for_url("www.a.com/never-seen") is None
-
-    def test_exact_delta_probe_receives_class(self):
-        """exact_delta probes get the candidate class (for its cached
-        index), not raw base bytes."""
-        probed: list = []
-
-        def exact_delta(cls, document):
-            probed.append(cls)
-            return 0  # always "identical": forces a match
-
-        grouper = make_grouper(GroupingConfig(use_light_estimator=False))
-        grouper._exact_delta = exact_delta
-        first, _ = classify(grouper, "www.a.com/x?id=1", doc("x", 1))
-        classify(grouper, "www.a.com/x?id=2", doc("x", 2))
-        assert probed and all(candidate is first for candidate in probed)

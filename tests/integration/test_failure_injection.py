@@ -98,8 +98,8 @@ class TestIdentityChurn:
         client.get(url, 800.0)
         old_uid = client.user_id
         client.jar.clear()
-        client._base_cache.clear()
-        client._url_ref.clear()
+        client.protocol.bases.clear()
+        client.protocol.refs.clear()
         body = client.get(url, 900.0)
         assert client.user_id != old_uid
         assert body == direct(origin, url, client.user_id, 900.0)
@@ -127,10 +127,10 @@ class TestStaleCache:
         client = browsers[0]
         ref = client.held_base_refs()[0]
         # Fabricate staleness: rewrite the client's ref to a bogus version.
-        base = client._base_cache.pop(ref)
+        base = client.protocol.bases.pop(ref)
         stale_ref = ref.rsplit("/", 1)[0] + "/99"
-        client._base_cache[stale_ref] = base
-        client._url_ref[url] = stale_ref
+        client.protocol.bases[stale_ref] = base
+        client.protocol.refs[(client.user_id, url)] = stale_ref
         body = client.get(url, 1100.0)
         assert body == direct(origin, url, client.user_id, 1100.0)
 

@@ -169,6 +169,46 @@ class TestResponseRoundtrip:
         with pytest.raises(ProtocolError):
             parse_response(b"HTTP/1.1 abc OK\r\n\r\n")
 
+    @pytest.mark.parametrize(
+        "status", [b"-7", b"+200", b"2_00", b"99", b"600", b"\xb200"]
+    )
+    def test_status_is_ascii_digits_in_range(self, status):
+        with pytest.raises(ProtocolError):
+            parse_response(b"HTTP/1.1 " + status + b" X\r\nContent-Length: 0\r\n\r\n")
+
+
+#: spellings ``int()`` takes and a strict peer does not (or reads differently)
+LENIENT_LENGTHS = [b"+5", b"-0", b"0_5", b"\xa05", b"\xb25", b"5\x0b", b"0x5", b"5.0", b""]
+
+
+class TestStrictFraming:
+    """A proxy and its upstream must never disagree on where a body ends."""
+
+    @pytest.mark.parametrize("length", LENIENT_LENGTHS)
+    def test_content_length_is_ascii_digits_only(self, length):
+        tail = b"\r\nContent-Length: " + length + b"\r\n\r\nhello"
+        with pytest.raises(ProtocolError):
+            parse_request(b"POST /x HTTP/1.1\r\nHost: h" + tail)
+        with pytest.raises(ProtocolError):
+            parse_response(b"HTTP/1.1 200 OK" + tail)
+
+    @pytest.mark.parametrize("size", LENIENT_LENGTHS + [b" 5", b"5 "])
+    def test_chunk_size_is_hex_digits_only(self, size):
+        tail = b"\r\nTransfer-Encoding: chunked\r\n\r\n" + size + b"\r\nhello\r\n0\r\n\r\n"
+        with pytest.raises(ProtocolError):
+            parse_request(b"POST /x HTTP/1.1\r\nHost: h" + tail)
+        with pytest.raises(ProtocolError):
+            parse_response(b"HTTP/1.1 200 OK" + tail)
+
+    def test_plain_spellings_still_parse(self):
+        parsed = parse_response(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"A;ext=1\r\n0123456789\r\n0\r\n\r\n"
+        )
+        assert parsed.response.body == b"0123456789"
+        parsed = parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: \t 005\r\n\r\nhello")
+        assert parsed.response.body == b"hello"
+
 
 class TestHelpers:
     def test_cookie_roundtrip(self):
