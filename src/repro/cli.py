@@ -513,17 +513,26 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return result
 
 
-def cmd_store_inspect(args: argparse.Namespace) -> int:
-    """Dump a state directory's pack/journal contents as JSON (read-only)."""
+def cmd_store(args: argparse.Namespace) -> int:
+    """``store inspect|verify``: dump a state directory's pack/journal as
+    JSON, or check every stored version (exit 1 names the first bad one)."""
     import json as _json
 
-    from repro.store import inspect_state_dir
+    from repro.store import StoreError, inspect_state_dir, verify_state_dir
 
+    verb = f"store {args.store_command}"
     if not Path(args.state_dir).is_dir():
-        print(f"store inspect: no state directory at {args.state_dir}", file=sys.stderr)
+        print(f"{verb}: no state directory at {args.state_dir}", file=sys.stderr)
         return 1
-    dump = inspect_state_dir(args.state_dir)
-    print(_json.dumps(dump, indent=None if args.compact else 2, sort_keys=True))
+    if args.store_command == "inspect":
+        dump = inspect_state_dir(args.state_dir)
+        print(_json.dumps(dump, indent=None if args.compact else 2, sort_keys=True))
+        return 0
+    try:
+        print(f"{verb}: ok — {verify_state_dir(args.state_dir)}")
+    except StoreError as exc:
+        print(f"{verb}: FAILED — {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -750,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
         fleet_verb.set_defaults(func=cmd_fleet)
 
     store = sub.add_parser(
-        "store", help="inspect the persistent pack/journal store"
+        "store", help="inspect or verify the persistent pack/journal store"
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
     inspect = store_sub.add_parser(
@@ -759,7 +768,11 @@ def build_parser() -> argparse.ArgumentParser:
     inspect.add_argument("state_dir", help="state directory (serve --state-dir)")
     inspect.add_argument("--compact", action="store_true",
                          help="one-line JSON instead of indented output")
-    inspect.set_defaults(func=cmd_store_inspect)
+    verify = store_sub.add_parser(
+        "verify", help="replay a state directory read-only and check every version"
+    )
+    verify.add_argument("state_dir", help="state directory (serve --state-dir)")
+    store.set_defaults(func=cmd_store)
 
     proxy = sub.add_parser(
         "proxy", help="run the live caching proxy tier in front of a server"

@@ -51,11 +51,6 @@ OP_ADD = 0x00
 OP_COPY = 0x01
 OP_RUN = 0x02
 
-# Back-compat aliases (pre-streaming-kernel names).
-_OP_ADD = OP_ADD
-_OP_COPY = OP_COPY
-_OP_RUN = OP_RUN
-
 #: Hard ceiling on varint values: offsets and lengths live in 63 bits so
 #: they can never overflow into values a signed 64-bit consumer (or a
 #: future non-Python decoder) would misread.
@@ -138,15 +133,15 @@ def encode_delta(
     out += target_checksum.to_bytes(4, "big")
     for instr in instructions:
         if isinstance(instr, Add):
-            out.append(_OP_ADD)
+            out.append(OP_ADD)
             write_varint(len(instr.data), out)
             out += instr.data
         elif isinstance(instr, Run):
-            out.append(_OP_RUN)
+            out.append(OP_RUN)
             out.append(instr.byte)
             write_varint(instr.length, out)
         else:
-            out.append(_OP_COPY)
+            out.append(OP_COPY)
             write_varint(instr.offset, out)
             write_varint(instr.length, out)
     return bytes(out)
@@ -194,14 +189,14 @@ def decode_delta(
             )
         op = payload[pos]
         pos += 1
-        if op == _OP_ADD:
+        if op == OP_ADD:
             length, pos = read_varint(payload, pos)
             if length == 0 or pos + length > len(payload):
                 raise CorruptDeltaError("bad ADD length")
             instructions.append(Add(payload[pos : pos + length]))
             pos += length
             produced += length
-        elif op == _OP_COPY:
+        elif op == OP_COPY:
             offset, pos = read_varint(payload, pos)
             length, pos = read_varint(payload, pos)
             if length == 0 or offset + length > blen:
@@ -210,7 +205,7 @@ def decode_delta(
                 )
             instructions.append(Copy(offset, length))
             produced += length
-        elif op == _OP_RUN:
+        elif op == OP_RUN:
             if pos >= len(payload):
                 raise CorruptDeltaError("truncated RUN byte")
             byte = payload[pos]

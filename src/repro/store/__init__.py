@@ -8,7 +8,7 @@ integration surface is :mod:`repro.store.hooks`.
 from __future__ import annotations
 
 from repro.store.format import StoreFormatError
-from repro.store.hooks import NullStoreHooks, PersistentStoreHooks, StoreHooks
+from repro.store.hooks import PersistentStoreHooks, StoreHooks
 from repro.store.journal import Journal, scan_journal
 from repro.store.pack import Pack, PackCorruptionError
 from repro.store.store import (
@@ -19,13 +19,13 @@ from repro.store.store import (
     StoreError,
     StoreStats,
     inspect_state_dir,
+    verify_state_dir,
 )
 
 __all__ = [
     "DEFAULT_SNAPSHOT_EVERY",
     "ClassState",
     "Journal",
-    "NullStoreHooks",
     "Pack",
     "PackCorruptionError",
     "PackEntry",
@@ -37,4 +37,5 @@ __all__ = [
     "StoreStats",
     "inspect_state_dir",
     "scan_journal",
+    "verify_state_dir",
 ]

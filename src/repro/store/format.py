@@ -24,7 +24,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator
+from typing import BinaryIO
 
 #: ``(payload_length, payload_crc32)`` frame header
 FRAME_HEADER = struct.Struct(">II")
@@ -79,6 +79,28 @@ def write_frame(fh: BinaryIO, payload: bytes) -> int:
     return frame_size(len(payload))
 
 
+def frame_payload(data: bytes, offset: int, length: int) -> bytes:
+    """CRC-verified payload of the ``length``-byte frame at ``offset``.
+
+    The one addressed-frame check: :meth:`Pack.read` runs it on the bytes
+    it just read, recovery on the pack's file image.  Raises
+    :class:`StoreFormatError` naming what is wrong with the frame.
+    """
+    if offset < 0 or length < FRAME_HEADER.size or offset + length > len(data):
+        raise StoreFormatError(
+            f"wanted a {length}-byte frame, {max(len(data) - offset, 0)} bytes there"
+        )
+    payload_length, crc = FRAME_HEADER.unpack_from(data, offset)
+    if frame_size(payload_length) != length:
+        raise StoreFormatError(
+            f"header says {payload_length} payload bytes, frame is {length}"
+        )
+    payload = data[offset + FRAME_HEADER.size : offset + length]
+    if frame_crc(payload) != crc:
+        raise StoreFormatError("CRC mismatch")
+    return payload
+
+
 @dataclass(slots=True)
 class ScannedFrame:
     """One valid frame found by :func:`scan_frames`."""
@@ -102,25 +124,14 @@ def scan_frames(data: bytes, start: int) -> tuple[list[ScannedFrame], int]:
     """
     frames: list[ScannedFrame] = []
     pos = start
-    size = len(data)
-    while True:
-        if pos + FRAME_HEADER.size > size:
-            return frames, pos
-        length, crc = FRAME_HEADER.unpack_from(data, pos)
+    while pos + FRAME_HEADER.size <= len(data):
+        length, _ = FRAME_HEADER.unpack_from(data, pos)
         if length > MAX_FRAME_PAYLOAD:
-            return frames, pos
-        body_start = pos + FRAME_HEADER.size
-        body_end = body_start + length
-        if body_end > size:
-            return frames, pos
-        payload = data[body_start:body_end]
-        if frame_crc(payload) != crc:
-            return frames, pos
+            break
+        try:
+            payload = frame_payload(data, pos, frame_size(length))
+        except StoreFormatError:
+            break
         frames.append(ScannedFrame(offset=pos, payload=payload))
-        pos = body_end
-
-
-def iter_frames(data: bytes, start: int) -> Iterator[ScannedFrame]:
-    """Frame iterator with the same stop-at-first-damage contract."""
-    frames, _ = scan_frames(data, start)
-    return iter(frames)
+        pos += frame_size(length)
+    return frames, pos

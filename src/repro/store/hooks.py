@@ -77,10 +77,6 @@ class StoreHooks:
         pass
 
 
-class NullStoreHooks(StoreHooks):
-    """Alias kept for call-site readability (`hooks = NullStoreHooks()`)."""
-
-
 #: journal a hit-count checkpoint every this many hits per class — the
 #: trade between journal growth (one tiny record per stride) and how much
 #: popularity-ordering accuracy a crash can cost (at most stride-1 hits)

@@ -8,6 +8,12 @@ Records are JSON objects inside CRC-framed records
 authority the commit protocol fsyncs and a self-describing debug surface
 (``repro store inspect`` dumps it verbatim).
 
+This module is the record *vocabulary*: the type names and one
+constructor per type, the only place a record's field list is spelled
+(:func:`entry_of` is :func:`base_record`'s inverse).  What a record
+*means* is decided once, in :meth:`repro.store.store.Index.apply`, which
+the live path, recovery, compaction and ``store inspect|verify`` all run.
+
 Durability is caller-controlled per append: base commits sync (the
 crash-safety contract), membership adds do not (losing one means a URL
 re-runs the grouping search after a crash — harmless), and a syncing
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.store.format import (
@@ -44,6 +51,84 @@ REC_EVICT = "history_evicted"
 REC_HITS = "class_hits"
 
 
+@dataclass(slots=True)
+class PackEntry:
+    """One durably committed base-file version (its pack location)."""
+
+    version: int
+    offset: int
+    length: int  # whole-frame bytes on disk
+    encoding: str  # "full" | "delta"
+    parent: int | None  # predecessor version a delta applies against
+    chain: int  # position in its chain (full == 1)
+    doc_checksum: int  # adler32 of the uncompressed document
+    doc_bytes: int  # uncompressed document size
+
+
+def class_record(class_id: str, server: str, hint: str) -> dict:
+    return {"type": REC_CLASS, "class_id": class_id, "server": server, "hint": hint}
+
+
+def member_record(class_id: str, url: str) -> dict:
+    return {"type": REC_MEMBER, "class_id": class_id, "url": url}
+
+
+def base_record(
+    class_id: str, entry: PackEntry, sketch: "list[int] | tuple[int, ...] | None"
+) -> dict:
+    """The commit point of one base version; ``sketch`` is the MinHash
+    signature of the document, persisted so a warm restart need not
+    re-sketch the class."""
+    record = {
+        "type": REC_BASE,
+        "class_id": class_id,
+        "version": entry.version,
+        "offset": entry.offset,
+        "length": entry.length,
+        "encoding": entry.encoding,
+        "parent": entry.parent,
+        "chain": entry.chain,
+        "doc_checksum": entry.doc_checksum,
+        "doc_bytes": entry.doc_bytes,
+    }
+    if sketch is not None:
+        record["sketch"] = list(sketch)
+    return record
+
+
+def entry_of(record: dict) -> PackEntry:
+    """Decode a ``base_committed`` record (inverse of :func:`base_record`).
+
+    Raises ``KeyError``/``TypeError``/``ValueError`` on a malformed one.
+    """
+    return PackEntry(
+        version=int(record["version"]),
+        offset=int(record["offset"]),
+        length=int(record["length"]),
+        encoding=record["encoding"],
+        parent=record.get("parent"),
+        chain=int(record.get("chain", 1)),
+        doc_checksum=int(record["doc_checksum"]),
+        doc_bytes=int(record.get("doc_bytes", 0)),
+    )
+
+
+def hits_record(class_id: str, hits: int) -> dict:
+    return {"type": REC_HITS, "class_id": class_id, "hits": hits}
+
+
+def release_record(class_id: str) -> dict:
+    return {"type": REC_RELEASE, "class_id": class_id}
+
+
+def quarantine_record(class_id: str, cause: str) -> dict:
+    return {"type": REC_QUARANTINE, "class_id": class_id, "cause": cause}
+
+
+def evict_record(class_id: str, versions: list[int]) -> dict:
+    return {"type": REC_EVICT, "class_id": class_id, "versions": versions}
+
+
 class Journal:
     """Append side of one journal file (reads go through :func:`scan_journal`)."""
 
@@ -51,7 +136,6 @@ class Journal:
         self.path = Path(path)
         exists = self.path.exists() and self.path.stat().st_size > 0
         self._fh = open(self.path, "ab")
-        self.records = 0
         if not exists:
             write_header(self._fh, JOURNAL_MAGIC)
             self.sync()
@@ -61,7 +145,6 @@ class Journal:
         """Append one record; ``sync=True`` makes it (and all before it) durable."""
         payload = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
         self.bytes += write_frame(self._fh, payload)
-        self.records += 1
         if sync:
             self.sync()
         else:

@@ -19,10 +19,9 @@ from pathlib import Path
 
 from repro.store.format import (
     FILE_HEADER,
-    FRAME_HEADER,
+    StoreFormatError,
     check_header,
-    frame_crc,
-    frame_size,
+    frame_payload,
     write_frame,
     write_header,
 )
@@ -70,20 +69,10 @@ class Pack:
         """Read + CRC-verify the payload of the frame at ``offset``."""
         self._fh.flush()
         raw = os.pread(self._read_fd, length, offset)
-        if len(raw) != length or length < FRAME_HEADER.size:
-            raise PackCorruptionError(
-                f"pack frame at {offset}: wanted {length} bytes, got {len(raw)}"
-            )
-        payload_length, crc = FRAME_HEADER.unpack_from(raw)
-        if frame_size(payload_length) != length:
-            raise PackCorruptionError(
-                f"pack frame at {offset}: header says {payload_length} payload "
-                f"bytes, frame is {length}"
-            )
-        payload = raw[FRAME_HEADER.size :]
-        if frame_crc(payload) != crc:
-            raise PackCorruptionError(f"pack frame at {offset}: CRC mismatch")
-        return payload
+        try:
+            return frame_payload(raw, 0, length)
+        except StoreFormatError as exc:
+            raise PackCorruptionError(f"pack frame at {offset}: {exc}") from None
 
     def verify(self, offset: int, length: int) -> bool:
         """True when the frame at ``offset`` reads back clean."""

@@ -32,15 +32,19 @@ One committed base version is::
     1. append payload frame to the pack, fsync;
     2. append the ``base_committed`` journal record (pack offset/length,
        encoding, parent, chain position, document checksum), fsync;
-    3. update the in-memory index.
+    3. ``apply`` that record to the in-memory index.
 
-The journal record is the commit point.  A crash between (1) and (2)
-leaves an orphan pack tail that recovery truncates; a crash mid-append
-leaves a torn frame that the CRC framing rejects.  Recovery replays the
-journal's valid prefix in order, re-verifying every referenced pack
-frame's CRC as it goes, and cuts *both* files at the first damage — the
-surviving state is always the exact state some fsync'd commit produced,
-so a torn or half-written base-file can never be served.
+The journal record is the commit point, and the journal is the only
+writer of the index: a live operation appends a record and hands that
+record to :meth:`Index.apply`, the function every replay of the journal
+runs, so the live index and a reopen cannot differ.  A crash between (1)
+and (2) leaves an orphan pack tail that recovery truncates; a crash
+mid-append leaves a torn frame that the CRC framing rejects.  Recovery
+replays the journal's valid prefix in order, re-verifying every
+referenced pack frame's CRC as it goes, and cuts *both* files at the
+first damage — the surviving state is always the exact state some
+fsync'd commit produced, so a torn or half-written base-file can never
+be served.
 
 Space reclamation
 -----------------
@@ -60,15 +64,23 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from repro.delta import apply_delta, checksum, make_delta
 from repro.delta.compress import compress, decompress
 from repro.delta.errors import DeltaError
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.stats import counter, gauge, stats_dict
-from repro.store.format import FILE_HEADER, StoreFormatError, frame_crc, scan_frames
+from repro.store.format import (
+    FILE_HEADER,
+    StoreFormatError,
+    check_header,
+    frame_payload,
+    scan_frames,
+)
 from repro.store.journal import (
     REC_BASE,
     REC_CLASS,
@@ -78,10 +90,19 @@ from repro.store.journal import (
     REC_QUARANTINE,
     REC_RELEASE,
     Journal,
+    PackEntry,
+    base_record,
+    class_record,
+    entry_of,
+    evict_record,
+    hits_record,
+    member_record,
+    quarantine_record,
+    release_record,
     scan_journal,
     truncate_file,
 )
-from repro.store.pack import Pack, PackCorruptionError
+from repro.store.pack import PACK_MAGIC, Pack, PackCorruptionError
 
 CURRENT_FILE = "CURRENT"
 
@@ -94,20 +115,6 @@ DELTA = "delta"
 
 class StoreError(Exception):
     """A store invariant failed (unknown class/version, broken chain)."""
-
-
-@dataclass(slots=True)
-class PackEntry:
-    """One durably committed base-file version (its pack location)."""
-
-    version: int
-    offset: int
-    length: int  # whole-frame bytes on disk
-    encoding: str  # "full" | "delta"
-    parent: int | None  # predecessor version a delta applies against
-    chain: int  # position in its chain (full == 1)
-    doc_checksum: int  # adler32 of the uncompressed document
-    doc_bytes: int  # uncompressed document size
 
 
 @dataclass(slots=True)
@@ -126,16 +133,125 @@ class ClassState:
     #: MinHash signature of the latest committed base, if one was recorded
     sketch: list[int] | None = None
 
-    def add_member(self, url: str) -> bool:
-        if url in self.member_set:
-            return False
-        self.member_set.add(url)
-        self.members.append(url)
-        return True
-
     @property
     def live_bytes(self) -> int:
         return sum(entry.length for entry in self.entries.values())
+
+
+@dataclass(slots=True)
+class Index:
+    """What a journal's records add up to: the classes and their live bytes."""
+
+    classes: dict[str, ClassState] = field(default_factory=dict)
+    live_bytes: int = 0
+
+    def apply(self, record: dict, pack_image: bytes | None = None) -> PackEntry | None:
+        """Fold one journal record into the index — its only writer.
+
+        The live path calls this on the record it just journaled,
+        compaction on each record it emits, and a replay (recovery,
+        inspect, verify) on each record it read, passing the pack's file
+        image so the frame a ``base_committed`` record points at is
+        CRC-checked *before* the record counts.  Returns the entry a base
+        record installed.
+
+        A malformed record raises ``KeyError``/``TypeError``/``ValueError``
+        and a damaged frame :class:`StoreFormatError`, in both cases
+        before anything changed.  A record about a class the index does
+        not hold (its class record was lost to an earlier repair) and a
+        record of a type this build does not know are skipped.
+        """
+        rtype = record.get("type")
+        if rtype == REC_CLASS:
+            class_id = record["class_id"]
+            if class_id not in self.classes:
+                self.classes[class_id] = ClassState(
+                    class_id=class_id, server=record["server"], hint=record["hint"]
+                )
+            return None
+        st = self.classes.get(record.get("class_id"))
+        if st is None:
+            return None
+        if rtype == REC_MEMBER:
+            url = record["url"]
+            if url not in st.member_set:
+                st.member_set.add(url)
+                st.members.append(url)
+        elif rtype == REC_BASE:
+            entry = entry_of(record)
+            sketch = record.get("sketch")
+            sketch = list(sketch) if sketch else None
+            if pack_image is not None:
+                if entry.offset < FILE_HEADER.size:
+                    raise StoreFormatError(f"frame at {entry.offset}: in the header")
+                frame_payload(pack_image, entry.offset, entry.length)
+            # A re-rooting commit replaces the entry for an existing
+            # version; the replaced frame is garbage.
+            replaced = st.entries.get(entry.version)
+            if replaced is not None:
+                self.live_bytes -= replaced.length
+            self.live_bytes += entry.length
+            st.entries[entry.version] = entry
+            if st.latest is None or entry.version >= st.latest:
+                st.latest = entry.version
+                # The sketch always describes the latest base; older
+                # records' sketches are stale the moment a newer
+                # version commits (with or without one of its own).
+                st.sketch = sketch
+            return entry
+        elif rtype in (REC_RELEASE, REC_QUARANTINE):
+            self.live_bytes -= st.live_bytes
+            st.entries.clear()
+            st.latest = None
+            st.sketch = None
+        elif rtype == REC_HITS:
+            # Monotone: a stale checkpoint never lowers the count.
+            st.hits = max(st.hits, int(record["hits"]))
+        elif rtype == REC_EVICT:
+            for version in [int(v) for v in record.get("versions", ())]:
+                evicted = st.entries.pop(version, None)
+                if evicted is not None:
+                    self.live_bytes -= evicted.length
+        return None
+
+
+def materialize(
+    st: ClassState, version: int, read: Callable[[int, int], bytes], bound: int
+) -> bytes:
+    """Reconstruct one committed version of ``st``, checksum-verified.
+
+    ``read(offset, length)`` returns a frame's CRC-verified payload (the
+    open pack for a live store, the file image for ``store verify``);
+    ``bound`` is the longest chain walked before giving up.
+    """
+    chain: list[PackEntry] = []
+    v: int | None = version
+    while True:
+        if v is None:
+            raise StoreError(
+                f"{st.class_id} v{version}: chain has no full-snapshot root"
+            )
+        entry = st.entries.get(v)
+        if entry is None:
+            raise StoreError(f"{st.class_id} v{version}: v{v} is not in the store")
+        chain.append(entry)
+        if entry.encoding == FULL:
+            break
+        if len(chain) > bound:
+            raise StoreError(f"{st.class_id} v{version}: chain exceeds bound")
+        v = entry.parent
+    try:
+        document = decompress(read(chain[-1].offset, chain[-1].length))
+        for entry in reversed(chain[:-1]):
+            delta = decompress(read(entry.offset, entry.length))
+            document = apply_delta(delta, document)
+    except (DeltaError, OSError, ValueError) as exc:
+        raise StoreError(f"{st.class_id} v{version}: {exc}") from exc
+    if checksum(document) != chain[0].doc_checksum:
+        raise StoreError(
+            f"{st.class_id} v{version}: materialized bytes fail their checksum"
+        )
+    return document
 
 
 @dataclass(slots=True)
@@ -183,18 +299,15 @@ class Store:
         self._fsync = fsync
         self._lock = threading.RLock()
         self._closed = False
-        self._classes: dict[str, ClassState] = {}
-        self._live_bytes = 0
         #: last committed document per class, kept so the next commit can
         #: delta against it without touching disk (shares the engine's
         #: bytes object — no copy).
         self._tips: dict[str, bytes] = {}
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        self._generation = self._read_current() or 1
         started = time.perf_counter()
         self._recover()
         self.stats.recovery_ms = (time.perf_counter() - started) * 1000.0
-        self.stats.warm_start = bool(self._classes)
+        self.stats.warm_start = bool(self._index.classes)
 
     # -- factory ---------------------------------------------------------------
 
@@ -212,19 +325,6 @@ class Store:
         )
 
     # -- paths / generation ----------------------------------------------------
-
-    def _pack_path(self, generation: int) -> Path:
-        return self.state_dir / f"pack-{generation:06d}.rpk"
-
-    def _journal_path(self, generation: int) -> Path:
-        return self.state_dir / f"journal-{generation:06d}.rjl"
-
-    def _read_current(self) -> int | None:
-        path = self.state_dir / CURRENT_FILE
-        try:
-            return int(path.read_text().strip())
-        except (FileNotFoundError, ValueError):
-            return None
 
     def _write_current(self, generation: int) -> None:
         path = self.state_dir / CURRENT_FILE
@@ -249,175 +349,60 @@ class Store:
     # -- recovery ----------------------------------------------------------------
 
     def _recover(self) -> None:
-        journal_path = self._journal_path(self._generation)
-        pack_path = self._pack_path(self._generation)
-        if not journal_path.exists() and not pack_path.exists():
-            # Fresh store: create both files and the CURRENT pointer.
-            self._pack = Pack(pack_path)
-            self._journal = Journal(journal_path)
-            self._write_current(self._generation)
-            return
-
-        pack_data = pack_path.read_bytes() if pack_path.exists() else b""
-        pack_ok = True
-        try:
-            from repro.store.format import check_header
-            from repro.store.pack import PACK_MAGIC
-
-            check_header(pack_data, PACK_MAGIC, str(pack_path))
-        except StoreFormatError:
-            pack_ok = False
-
-        records: list[tuple[int, dict]] = []
-        journal_end = FILE_HEADER.size
-        journal_size = 0
-        if journal_path.exists():
-            try:
-                records, journal_end, journal_size = scan_journal(journal_path)
-            except StoreFormatError:
-                # The journal header itself is damaged: nothing after it
-                # can be trusted.  Start the state over (the pack becomes
-                # all-garbage and is truncated below).
-                records, journal_end, journal_size = [], 0, journal_path.stat().st_size
-
-        applied = 0
-        pack_floor = FILE_HEADER.size if pack_ok else 0
-        pack_high = pack_floor
-        for offset, record in records:
-            outcome = self._apply_record(record, pack_data, pack_ok)
-            if outcome is None:
-                # First record referencing torn/corrupt pack bytes: the
-                # consistent prefix ends *before* this record.
-                journal_end = offset
-                break
-            pack_high = max(pack_high, outcome)
-            applied += 1
-
+        # A fresh directory replays to an empty index with nothing to cut.
+        found = replay(self.state_dir)
+        pack_path, journal_path = found.pack_path, found.journal_path
         # Torn-tail repair: cut the journal after its last good record and
         # the pack after the last frame a surviving record references.
-        if journal_size and journal_end < journal_size:
-            if journal_end == 0:
+        if found.journal_size and found.journal_end < found.journal_size:
+            if found.journal_end == 0:
                 journal_path.unlink()
             else:
-                truncate_file(journal_path, journal_end)
-            self.stats.journal_truncated_bytes = journal_size - journal_end
-        pack_size = len(pack_data)
-        if not pack_ok:
-            # Unreadable pack header: no payload survived; rewrite fresh.
-            if pack_path.exists():
-                pack_path.unlink()
+                truncate_file(journal_path, found.journal_end)
+            self.stats.journal_truncated_bytes = found.journal_size - found.journal_end
+        pack_size = len(found.pack_image)
+        if found.pack_error is not None:
+            # Unreadable (or no) pack header: no payload survived; start fresh.
+            pack_path.unlink(missing_ok=True)
             self.stats.pack_truncated_bytes = pack_size
-        elif pack_size > pack_high:
-            truncate_file(pack_path, pack_high)
-            self.stats.pack_truncated_bytes = pack_size - pack_high
+        elif pack_size > found.pack_high:
+            truncate_file(pack_path, found.pack_high)
+            self.stats.pack_truncated_bytes = pack_size - found.pack_high
 
         self._pack = Pack(pack_path)
         self._journal = Journal(journal_path)
-        self._journal.records = applied
-        self.stats.journal_records = applied
-        self._live_bytes = sum(st.live_bytes for st in self._classes.values())
+        self._index = found.index
+        self._generation = found.generation
+        self.stats.journal_records = found.applied
         self._write_current(self._generation)
-
-    def _apply_record(
-        self, record: dict, pack_data: bytes, pack_ok: bool
-    ) -> int | None:
-        """Replay one journal record; returns the pack high-water mark it
-        implies, or ``None`` when the record references damaged pack bytes
-        (ending the consistent prefix)."""
-        rtype = record.get("type")
-        try:
-            if rtype == REC_CLASS:
-                class_id = record["class_id"]
-                if class_id not in self._classes:
-                    self._classes[class_id] = ClassState(
-                        class_id=class_id,
-                        server=record["server"],
-                        hint=record["hint"],
-                    )
-                return 0
-            if rtype == REC_MEMBER:
-                st = self._classes.get(record["class_id"])
-                if st is not None:
-                    st.add_member(record["url"])
-                return 0
-            if rtype == REC_BASE:
-                st = self._classes.get(record["class_id"])
-                if st is None:
-                    return 0  # class record lost to an earlier repair
-                offset, length = int(record["offset"]), int(record["length"])
-                if not pack_ok or not _frame_valid(pack_data, offset, length):
-                    return None
-                entry = PackEntry(
-                    version=int(record["version"]),
-                    offset=offset,
-                    length=length,
-                    encoding=record["encoding"],
-                    parent=record.get("parent"),
-                    chain=int(record.get("chain", 1)),
-                    doc_checksum=int(record["doc_checksum"]),
-                    doc_bytes=int(record.get("doc_bytes", 0)),
-                )
-                # A re-rooting commit replaces the entry for an existing
-                # version; the replaced frame is garbage.
-                st.entries[entry.version] = entry
-                if st.latest is None or entry.version >= st.latest:
-                    st.latest = entry.version
-                    # The sketch always describes the latest base; older
-                    # records' sketches are stale the moment a newer
-                    # version commits (with or without one of its own).
-                    sketch = record.get("sketch")
-                    st.sketch = list(sketch) if sketch else None
-                return offset + length
-            if rtype in (REC_RELEASE, REC_QUARANTINE):
-                st = self._classes.get(record["class_id"])
-                if st is not None:
-                    st.entries.clear()
-                    st.latest = None
-                    st.sketch = None
-                return 0
-            if rtype == REC_HITS:
-                st = self._classes.get(record["class_id"])
-                if st is not None:
-                    st.hits = max(st.hits, int(record["hits"]))
-                return 0
-            if rtype == REC_EVICT:
-                st = self._classes.get(record["class_id"])
-                if st is not None:
-                    for version in record.get("versions", ()):
-                        st.entries.pop(int(version), None)
-                return 0
-        except (KeyError, TypeError, ValueError):
-            return None  # malformed record: end of the trusted prefix
-        return 0  # unknown record type: forward-compatible skip
 
     # -- journaled events --------------------------------------------------------
 
+    def _commit(self, record: dict, *, sync: bool) -> PackEntry | None:
+        """Journal one record, then apply the record just written."""
+        self._journal.append(record, sync=sync and self._fsync)
+        self.stats.journal_records += 1
+        return self._index.apply(record)
+
+    def _commit_frame(
+        self, class_id: str, body: bytes, sketch, **entry_fields
+    ) -> PackEntry:
+        """The commit protocol: pack frame (fsync), then its ``base_committed``
+        record (fsync), then the index."""
+        offset, length = self._pack.append(body, sync=self._fsync)
+        entry = PackEntry(offset=offset, length=length, **entry_fields)
+        return self._commit(base_record(class_id, entry, sketch), sync=True)
+
     def add_class(self, class_id: str, server: str, hint: str) -> None:
         with self._lock:
-            if class_id in self._classes:
-                return
-            self._classes[class_id] = ClassState(
-                class_id=class_id, server=server, hint=hint
-            )
-            self._append(
-                {
-                    "type": REC_CLASS,
-                    "class_id": class_id,
-                    "server": server,
-                    "hint": hint,
-                },
-                sync=False,
-            )
+            if class_id not in self._index.classes:
+                self._commit(class_record(class_id, server, hint), sync=False)
 
     def add_member(self, class_id: str, url: str) -> None:
         with self._lock:
-            st = self._classes.get(class_id)
-            if st is None or not st.add_member(url):
-                return
-            self._append(
-                {"type": REC_MEMBER, "class_id": class_id, "url": url},
-                sync=False,
-            )
+            st = self._index.classes.get(class_id)
+            if st is not None and url not in st.member_set:
+                self._commit(member_record(class_id, url), sync=False)
 
     def commit_base(
         self,
@@ -440,44 +425,21 @@ class Store:
         if doc_checksum is None:
             doc_checksum = checksum(document)
         with self._lock:
-            st = self._classes.get(class_id)
+            st = self._index.classes.get(class_id)
             if st is None:
                 raise StoreError(f"unknown class {class_id!r}")
             body, encoding, parent, chain = self._encode_body(st, document)
-            offset, length = self._pack.append(body, sync=self._fsync)
-            record = {
-                "type": REC_BASE,
-                "class_id": class_id,
-                "version": version,
-                "offset": offset,
-                "length": length,
-                "encoding": encoding,
-                "parent": parent,
-                "chain": chain,
-                "doc_checksum": doc_checksum,
-                "doc_bytes": len(document),
-            }
-            if signature is not None:
-                record["sketch"] = list(signature)
-            self._append(record, sync=self._fsync)
-            replaced = st.entries.get(version)
-            if replaced is not None:
-                self._live_bytes -= replaced.length
-            entry = PackEntry(
+            entry = self._commit_frame(
+                class_id,
+                body,
+                signature,
                 version=version,
-                offset=offset,
-                length=length,
                 encoding=encoding,
                 parent=parent,
                 chain=chain,
                 doc_checksum=doc_checksum,
                 doc_bytes=len(document),
             )
-            st.entries[version] = entry
-            if st.latest is None or version >= st.latest:
-                st.latest = version
-                st.sketch = list(signature) if signature is not None else None
-            self._live_bytes += length
             self._tips[class_id] = document
             self.stats.commits += 1
             if encoding == FULL:
@@ -511,7 +473,7 @@ class Store:
         parent_doc = self._tips.get(st.class_id)
         if parent_doc is None or checksum(parent_doc) != parent_entry.doc_checksum:
             try:
-                parent_doc = self._materialize_locked(st, parent_version)
+                parent_doc = self._materialize(st, parent_version)
             except (StoreError, PackCorruptionError, DeltaError):
                 return full_body, FULL, None, 1
         delta_body = compress(make_delta(parent_doc, document))
@@ -524,28 +486,23 @@ class Store:
         (the engine just released its in-memory bases; a fresh chain roots
         on the next good fetch).  Returns live bytes turned to garbage."""
         with self._lock:
-            freed = self._drop_payloads(class_id)
-            if class_id in self._classes:
-                self._append(
-                    {
-                        "type": REC_QUARANTINE,
-                        "class_id": class_id,
-                        "cause": cause,
-                    },
-                    sync=self._fsync,
-                )
-            return freed
+            return self._drop_payloads(quarantine_record(class_id, cause))
 
     def release(self, class_id: str) -> int:
         """Journal a storage-pressure base release; payloads become garbage."""
         with self._lock:
-            freed = self._drop_payloads(class_id)
-            if class_id in self._classes:
-                self._append(
-                    {"type": REC_RELEASE, "class_id": class_id}, sync=self._fsync
-                )
+            if class_id in self._index.classes:
                 self.stats.releases += 1
-            return freed
+            return self._drop_payloads(release_record(class_id))
+
+    def _drop_payloads(self, record: dict) -> int:
+        st = self._index.classes.get(record["class_id"])
+        if st is None:
+            return 0
+        freed = st.live_bytes
+        self._commit(record, sync=True)
+        self._tips.pop(st.class_id, None)
+        return freed
 
     def record_hits(self, class_id: str, hits: int) -> None:
         """Checkpoint a class's absolute hit count (popularity).
@@ -557,26 +514,9 @@ class Store:
         request.  Monotone: a stale checkpoint never lowers the count.
         """
         with self._lock:
-            st = self._classes.get(class_id)
-            if st is None or hits <= st.hits:
-                return
-            st.hits = hits
-            self._append(
-                {"type": REC_HITS, "class_id": class_id, "hits": hits},
-                sync=False,
-            )
-
-    def _drop_payloads(self, class_id: str) -> int:
-        st = self._classes.get(class_id)
-        if st is None:
-            return 0
-        freed = st.live_bytes
-        st.entries.clear()
-        st.latest = None
-        st.sketch = None
-        self._live_bytes -= freed
-        self._tips.pop(class_id, None)
-        return freed
+            st = self._index.classes.get(class_id)
+            if st is not None and hits > st.hits:
+                self._commit(hits_record(class_id, hits), sync=False)
 
     def evict_history(self, class_id: str) -> int:
         """Turn a class's non-latest versions into garbage (cold-history
@@ -584,41 +524,24 @@ class Store:
         first when it is a chain delta, so it stays materializable.
         Returns live bytes turned to garbage."""
         with self._lock:
-            st = self._classes.get(class_id)
-            if st is None or st.latest is None:
-                return 0
-            if len(st.entries) <= 1:
+            st = self._index.classes.get(class_id)
+            if st is None or st.latest is None or len(st.entries) <= 1:
                 return 0
             latest = st.entries[st.latest]
             if latest.encoding != FULL:
                 try:
-                    document = self._materialize_locked(st, st.latest)
+                    document = self._materialize(st, st.latest)
                 except (StoreError, PackCorruptionError, DeltaError):
                     # The chain is damaged on disk; nothing behind the
                     # engine's in-memory copy is salvageable — release.
                     return self.release(class_id)
-                body = compress(document)
-                offset, length = self._pack.append(body, sync=self._fsync)
-                self._append(
-                    {
-                        "type": REC_BASE,
-                        "class_id": class_id,
-                        "version": st.latest,
-                        "offset": offset,
-                        "length": length,
-                        "encoding": FULL,
-                        "parent": None,
-                        "chain": 1,
-                        "doc_checksum": latest.doc_checksum,
-                        "doc_bytes": latest.doc_bytes,
-                    },
-                    sync=self._fsync,
-                )
-                self._live_bytes += length - latest.length
-                st.entries[st.latest] = PackEntry(
-                    version=st.latest,
-                    offset=offset,
-                    length=length,
+                # Same version, same document, so also the same sketch: the
+                # record carries it and a replay keeps it, as the live index does.
+                self._commit_frame(
+                    class_id,
+                    compress(document),
+                    st.sketch,
+                    version=latest.version,
                     encoding=FULL,
                     parent=None,
                     chain=1,
@@ -627,69 +550,31 @@ class Store:
                 )
                 self._tips[class_id] = document
             evicted = sorted(v for v in st.entries if v != st.latest)
-            freed = 0
-            for version in evicted:
-                freed += st.entries.pop(version).length
-            self._live_bytes -= freed
-            self._append(
-                {"type": REC_EVICT, "class_id": class_id, "versions": evicted},
-                sync=self._fsync,
-            )
+            freed = sum(st.entries[v].length for v in evicted)
+            self._commit(evict_record(class_id, evicted), sync=True)
             self.stats.history_evictions += 1
             return freed
-
-    def _append(self, record: dict, *, sync: bool) -> None:
-        self._journal.append(record, sync=sync and self._fsync)
-        self.stats.journal_records += 1
 
     # -- reads -------------------------------------------------------------------
 
     def classes(self) -> list[ClassState]:
         with self._lock:
-            return list(self._classes.values())
+            return list(self._index.classes.values())
 
     def class_state(self, class_id: str) -> ClassState | None:
         with self._lock:
-            return self._classes.get(class_id)
+            return self._index.classes.get(class_id)
 
     def materialize(self, class_id: str, version: int) -> bytes:
         """Reconstruct one committed base-file version, checksum-verified."""
         with self._lock:
-            st = self._classes.get(class_id)
+            st = self._index.classes.get(class_id)
             if st is None:
                 raise StoreError(f"unknown class {class_id!r}")
-            return self._materialize_locked(st, version)
+            return self._materialize(st, version)
 
-    def _materialize_locked(self, st: ClassState, version: int) -> bytes:
-        chain: list[PackEntry] = []
-        v: int | None = version
-        while True:
-            if v is None:
-                raise StoreError(
-                    f"{st.class_id} v{version}: chain has no full-snapshot root"
-                )
-            entry = st.entries.get(v)
-            if entry is None:
-                raise StoreError(f"{st.class_id} v{v}: not in the store")
-            chain.append(entry)
-            if entry.encoding == FULL:
-                break
-            if len(chain) > self.snapshot_every + 1:
-                raise StoreError(f"{st.class_id} v{version}: chain exceeds bound")
-            v = entry.parent
-        try:
-            document = decompress(self._pack.read(chain[-1].offset, chain[-1].length))
-            for entry in reversed(chain[:-1]):
-                delta = decompress(self._pack.read(entry.offset, entry.length))
-                document = apply_delta(delta, document)
-        except (DeltaError, OSError, ValueError) as exc:
-            raise StoreError(f"{st.class_id} v{version}: {exc}") from exc
-        target = st.entries[version]
-        if checksum(document) != target.doc_checksum:
-            raise StoreError(
-                f"{st.class_id} v{version}: materialized bytes fail their checksum"
-            )
-        return document
+    def _materialize(self, st: ClassState, version: int) -> bytes:
+        return materialize(st, version, self._pack.read, self.snapshot_every + 1)
 
     # -- accounting ----------------------------------------------------------------
 
@@ -701,24 +586,23 @@ class Store:
     @property
     def live_pack_bytes(self) -> int:
         with self._lock:
-            return self._live_bytes
+            return self._index.live_bytes
 
     @property
     def garbage_bytes(self) -> int:
         with self._lock:
-            return max(self._pack.end - FILE_HEADER.size - self._live_bytes, 0)
+            payload = self._pack.end - FILE_HEADER.size
+            return max(payload - self._index.live_bytes, 0)
 
     def garbage_ratio(self) -> float:
         with self._lock:
             payload = self._pack.end - FILE_HEADER.size
-            if payload <= 0:
-                return 0.0
-            return max(payload - self._live_bytes, 0) / payload
+            return self.garbage_bytes / payload if payload > 0 else 0.0
 
     def class_disk_bytes(self, class_id: str) -> int:
         """Live on-disk chain bytes one class pins (its history cost)."""
         with self._lock:
-            st = self._classes.get(class_id)
+            st = self._index.classes.get(class_id)
             return st.live_bytes if st is not None else 0
 
     def max_chain_length(self) -> int:
@@ -726,7 +610,7 @@ class Store:
             return max(
                 (
                     entry.chain
-                    for st in self._classes.values()
+                    for st in self._index.classes.values()
                     for entry in st.entries.values()
                 ),
                 default=0,
@@ -738,12 +622,10 @@ class Store:
             return {
                 "generation": self._generation,
                 "snapshot_every": self.snapshot_every,
-                "classes": len(self._classes),
+                "classes": len(self._index.classes),
                 "pack_bytes": self._pack.end,
-                "live_pack_bytes": self._live_bytes,
-                "garbage_bytes": max(
-                    self._pack.end - FILE_HEADER.size - self._live_bytes, 0
-                ),
+                "live_pack_bytes": self._index.live_bytes,
+                "garbage_bytes": self.garbage_bytes,
                 "journal_bytes": self._journal.bytes,
                 "max_chain_length": self.max_chain_length(),
             }
@@ -764,106 +646,67 @@ class Store:
 
         The new pack and journal are written completely and fsync'd, then
         ``CURRENT`` is swapped atomically — a crash at any point leaves
-        either the old or the new generation fully intact.
+        either the old or the new generation fully intact.  The new
+        generation's index is built by applying the records as they are
+        written, so it is by construction what a reopen would replay.
         """
         with self._lock:
             old_generation = self._generation
             new_generation = old_generation + 1
-            new_pack_path = self._pack_path(new_generation)
-            new_journal_path = self._journal_path(new_generation)
+            new_pack_path, new_journal_path = _paths(self.state_dir, new_generation)
             for stale in (new_pack_path, new_journal_path):
-                if stale.exists():
-                    stale.unlink()  # leftovers of a crashed compaction
+                stale.unlink(missing_ok=True)  # leftovers of a crashed compaction
             freed = self.garbage_bytes
             new_pack = Pack(new_pack_path)
             new_journal = Journal(new_journal_path)
-            moves: dict[tuple[str, int], tuple[int, int]] = {}
+            new_index = Index()
+            emitted = 0
+
+            def emit(record: dict) -> None:
+                nonlocal emitted
+                new_journal.append(record, sync=False)
+                new_index.apply(record)
+                emitted += 1
+
             try:
-                for st in self._ordered_states():
-                    new_journal.append(
-                        {
-                            "type": REC_CLASS,
-                            "class_id": st.class_id,
-                            "server": st.server,
-                            "hint": st.hint,
-                        },
-                        sync=False,
-                    )
+                for class_id in sorted(self._index.classes, key=_class_sort):
+                    st = self._index.classes[class_id]
+                    emit(class_record(class_id, st.server, st.hint))
                     for url in st.members:
-                        new_journal.append(
-                            {
-                                "type": REC_MEMBER,
-                                "class_id": st.class_id,
-                                "url": url,
-                            },
-                            sync=False,
-                        )
+                        emit(member_record(class_id, url))
                     if st.hits:
-                        new_journal.append(
-                            {
-                                "type": REC_HITS,
-                                "class_id": st.class_id,
-                                "hits": st.hits,
-                            },
-                            sync=False,
-                        )
+                        emit(hits_record(class_id, st.hits))
                     for version in sorted(st.entries):
                         entry = st.entries[version]
                         body = self._pack.read(entry.offset, entry.length)
                         offset, length = new_pack.append(body, sync=False)
-                        moves[(st.class_id, version)] = (offset, length)
-                        record = {
-                            "type": REC_BASE,
-                            "class_id": st.class_id,
-                            "version": version,
-                            "offset": offset,
-                            "length": length,
-                            "encoding": entry.encoding,
-                            "parent": entry.parent,
-                            "chain": entry.chain,
-                            "doc_checksum": entry.doc_checksum,
-                            "doc_bytes": entry.doc_bytes,
-                        }
+                        moved = replace(entry, offset=offset, length=length)
                         # The sketch describes the latest base only; it
                         # must survive compaction like any other fact.
-                        if version == st.latest and st.sketch:
-                            record["sketch"] = st.sketch
-                        new_journal.append(record, sync=False)
+                        sketch = st.sketch if version == st.latest else None
+                        emit(base_record(class_id, moved, sketch))
                 new_pack.sync()
                 new_journal.sync()
             except Exception:
                 new_pack.close()
                 new_journal.close()
-                with contextlib.suppress(OSError):
-                    new_pack_path.unlink()
-                with contextlib.suppress(OSError):
-                    new_journal_path.unlink()
+                for stale in (new_pack_path, new_journal_path):
+                    with contextlib.suppress(OSError):
+                        stale.unlink()
                 raise
             # The commit point: CURRENT now names the new generation.
             self._write_current(new_generation)
             old_pack, old_journal = self._pack, self._journal
-            self._pack, self._journal = new_pack, new_journal
-            self._journal.records = self.stats.journal_records = sum(
-                1 + len(st.members) + len(st.entries) + (1 if st.hits else 0)
-                for st in self._classes.values()
-            )
+            self._pack, self._journal, self._index = new_pack, new_journal, new_index
+            self.stats.journal_records = emitted
             self._generation = new_generation
-            for (class_id, version), (offset, length) in moves.items():
-                entry = self._classes[class_id].entries[version]
-                entry.offset, entry.length = offset, length
             old_pack.close()
             old_journal.close()
-            for stale in (
-                self._pack_path(old_generation),
-                self._journal_path(old_generation),
-            ):
+            for stale in _paths(self.state_dir, old_generation):
                 with contextlib.suppress(OSError):
                     stale.unlink()
             self.stats.compactions += 1
             return freed
-
-    def _ordered_states(self) -> list[ClassState]:
-        return [self._classes[cid] for cid in sorted(self._classes, key=_class_sort)]
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -892,19 +735,80 @@ def _class_sort(class_id: str) -> tuple[int, str]:
     return (int(match.group(1)) if match else 0, class_id)
 
 
-def _frame_valid(pack_data: bytes, offset: int, length: int) -> bool:
-    """CRC-verify one pack frame inside the raw file image (recovery path)."""
-    from repro.store.format import FRAME_HEADER
+def _paths(state_dir: Path, generation: int) -> tuple[Path, Path]:
+    """``(pack, journal)`` file paths of one generation."""
+    return (
+        state_dir / f"pack-{generation:06d}.rpk",
+        state_dir / f"journal-{generation:06d}.rjl",
+    )
 
-    if offset < FILE_HEADER.size or length < FRAME_HEADER.size:
-        return False
-    if offset + length > len(pack_data):
-        return False
-    payload_length, crc = FRAME_HEADER.unpack_from(pack_data, offset)
-    if FRAME_HEADER.size + payload_length != length:
-        return False
-    payload = pack_data[offset + FRAME_HEADER.size : offset + length]
-    return frame_crc(payload) == crc
+
+@dataclass(slots=True)
+class Replay:
+    """What a state directory's live generation adds up to, read-only."""
+
+    generation: int
+    pack_path: Path
+    journal_path: Path
+    pack_image: bytes
+    pack_error: str | None = None  # the pack header is unreadable
+    journal_error: str | None = None  # the journal header is unreadable
+    #: every CRC-valid journal record with its file offset; the first
+    #: ``applied`` of them are the consistent prefix ``index`` was built from
+    records: list[tuple[int, dict]] = field(default_factory=list)
+    applied: int = 0
+    index: Index = field(default_factory=Index)
+    #: why the record after the prefix was refused (None: all applied)
+    damage: str | None = None
+    journal_size: int = 0
+    journal_end: int = FILE_HEADER.size  # where recovery cuts the journal …
+    pack_high: int = FILE_HEADER.size  # … and the pack
+
+
+def replay(state_dir: Path) -> Replay:
+    """Apply the journal's verified prefix: the read-only half of recovery.
+
+    The prefix ends at the first record that is malformed or points at
+    damaged pack bytes (each referenced frame is CRC-checked against the
+    pack's file image as its record is applied); ``journal_end`` and
+    ``pack_high`` are the offsets recovery truncates the two files to.
+    """
+    try:
+        generation = int((state_dir / CURRENT_FILE).read_text().strip())
+    except (FileNotFoundError, ValueError):
+        generation = 1
+    pack_path, journal_path = _paths(state_dir, generation)
+    image = pack_path.read_bytes() if pack_path.exists() else b""
+    found = Replay(generation, pack_path, journal_path, image)
+    try:
+        check_header(image, PACK_MAGIC, str(pack_path))
+    except StoreFormatError as exc:
+        # With an unreadable header no frame can be trusted, whatever its
+        # bytes happen to check out as: every base record will be refused.
+        found.pack_error, found.pack_high, image = str(exc), 0, b""
+    if journal_path.exists():
+        try:
+            found.records, found.journal_end, found.journal_size = scan_journal(
+                journal_path
+            )
+        except StoreFormatError as exc:
+            # The journal header itself is damaged: nothing after it
+            # can be trusted.  Start the state over (the pack becomes
+            # all-garbage and is truncated by recovery).
+            found.journal_error = str(exc)
+            found.journal_end, found.journal_size = 0, journal_path.stat().st_size
+    for offset, record in found.records:
+        try:
+            entry = found.index.apply(record, image)
+        except (KeyError, TypeError, ValueError, StoreFormatError) as exc:
+            # Malformed, or referencing torn/corrupt pack bytes: the
+            # consistent prefix ends *before* this record.
+            found.journal_end, found.damage = offset, f"{type(exc).__name__}: {exc}"
+            break
+        if entry is not None:
+            found.pack_high = max(found.pack_high, entry.offset + entry.length)
+        found.applied += 1
+    return found
 
 
 def inspect_state_dir(state_dir: Path | str) -> dict:
@@ -912,88 +816,92 @@ def inspect_state_dir(state_dir: Path | str) -> dict:
 
     Never truncates or repairs anything — torn tails are *reported*, not
     fixed, so inspection of a crashed state dir is side-effect free.
+    ``classes`` and both ``torn_tail_bytes`` are what opening the store
+    would recover and cut; ``journal.records`` is every record that
+    passes its CRC, verbatim.
     """
-    from repro.store.format import check_header
-    from repro.store.pack import PACK_MAGIC
-
-    state_dir = Path(state_dir)
-    current = state_dir / CURRENT_FILE
-    try:
-        generation = int(current.read_text().strip())
-    except (FileNotFoundError, ValueError):
-        generation = 1
-    journal_path = state_dir / f"journal-{generation:06d}.rjl"
-    pack_path = state_dir / f"pack-{generation:06d}.rpk"
-
-    journal_info: dict = {"path": str(journal_path), "records": []}
-    if journal_path.exists():
-        try:
-            records, valid_end, size = scan_journal(journal_path)
-        except StoreFormatError as exc:
-            journal_info["error"] = str(exc)
-        else:
-            journal_info["records"] = [
-                {"offset": offset, **record} for offset, record in records
-            ]
-            journal_info["bytes"] = size
-            journal_info["torn_tail_bytes"] = size - valid_end
-    else:
+    found = replay(Path(state_dir))
+    journal_info: dict = {"path": str(found.journal_path), "records": []}
+    if not found.journal_path.exists():
         journal_info["missing"] = True
-
-    pack_info: dict = {"path": str(pack_path), "frames": []}
-    if pack_path.exists():
-        data = pack_path.read_bytes()
-        try:
-            check_header(data, PACK_MAGIC, str(pack_path))
-        except StoreFormatError as exc:
-            pack_info["error"] = str(exc)
-        else:
-            frames, valid_end = scan_frames(data, FILE_HEADER.size)
-            pack_info["frames"] = [
-                {"offset": frame.offset, "payload_bytes": len(frame.payload)}
-                for frame in frames
-            ]
-            pack_info["bytes"] = len(data)
-            pack_info["torn_tail_bytes"] = len(data) - valid_end
+    elif found.journal_error is not None:
+        journal_info["error"] = found.journal_error
     else:
-        pack_info["missing"] = True
+        journal_info["records"] = [
+            {"offset": offset, **record} for offset, record in found.records
+        ]
+        journal_info["bytes"] = found.journal_size
+        journal_info["torn_tail_bytes"] = found.journal_size - found.journal_end
 
-    classes: dict[str, dict] = {}
-    for entry in journal_info.get("records", []):
-        rtype = entry.get("type")
-        class_id = entry.get("class_id")
-        if rtype == REC_CLASS:
-            classes.setdefault(
-                class_id,
-                {
-                    "server": entry.get("server"),
-                    "hint": entry.get("hint"),
-                    "members": 0,
-                    "versions": [],
-                    "latest": None,
-                },
-            )
-        elif class_id in classes:
-            summary = classes[class_id]
-            if rtype == REC_MEMBER:
-                summary["members"] += 1
-            elif rtype == REC_BASE:
-                version = entry.get("version")
-                if version not in summary["versions"]:
-                    summary["versions"].append(version)
-                summary["latest"] = version
-            elif rtype in (REC_RELEASE, REC_QUARANTINE):
-                summary["versions"] = []
-                summary["latest"] = None
-            elif rtype == REC_EVICT:
-                evicted = set(entry.get("versions", ()))
-                summary["versions"] = [
-                    v for v in summary["versions"] if v not in evicted
-                ]
+    pack_info: dict = {"path": str(found.pack_path), "frames": []}
+    if not found.pack_path.exists():
+        pack_info["missing"] = True
+    elif found.pack_error is not None:
+        pack_info["error"] = found.pack_error
+    else:
+        frames, _ = scan_frames(found.pack_image, FILE_HEADER.size)
+        pack_info["frames"] = [
+            {"offset": frame.offset, "payload_bytes": len(frame.payload)}
+            for frame in frames
+        ]
+        pack_info["bytes"] = len(found.pack_image)
+        pack_info["torn_tail_bytes"] = len(found.pack_image) - found.pack_high
+
     return {
         "state_dir": str(state_dir),
-        "generation": generation,
+        "generation": found.generation,
         "journal": journal_info,
         "pack": pack_info,
-        "classes": classes,
+        "classes": {
+            class_id: {
+                "server": st.server,
+                "hint": st.hint,
+                "members": len(st.members),
+                "versions": sorted(st.entries),
+                "latest": st.latest,
+            }
+            for class_id, st in found.index.classes.items()
+        },
     }
+
+
+def verify_state_dir(state_dir: Path | str) -> str:
+    """Offline fsck for ``repro store verify``: read-only, never repairs.
+
+    Replays the directory as recovery would, then materializes every
+    ``(class, version)`` in the index: frame CRCs, a full-snapshot root
+    under every chain, the document checksum, and the persisted sketch's
+    length against this build's MinHash geometry.  Returns a one-line
+    summary; raises :class:`StoreError` naming the first bad version.  A
+    torn *tail* (a crash mid-append) is what recovery cuts, not damage.
+    """
+    from repro.core.sketch import MinHashSketcher  # core imports the store
+
+    found = replay(Path(state_dir))
+    bad = found.journal_error or found.pack_error
+    if bad is None and found.damage is not None:
+        # A record that passed its own CRC was refused: not a torn tail.
+        record = found.records[found.applied][1]
+        bad = f"{record.get('class_id')} v{record.get('version')}: {found.damage}"
+    if bad is not None:
+        raise StoreError(bad)
+    index, image = found.index, found.pack_image
+    read = partial(frame_payload, image)
+    num_perm = MinHashSketcher().num_perm
+    versions = 0
+    for class_id in sorted(index.classes, key=_class_sort):
+        st = index.classes[class_id]
+        for version in sorted(st.entries):
+            # A chain longer than the class has versions is a cycle.
+            materialize(st, version, read, len(st.entries))
+            versions += 1
+        if st.sketch is not None and len(st.sketch) != num_perm:
+            raise StoreError(
+                f"{class_id} v{st.latest}: sketch has {len(st.sketch)} values, "
+                f"this build's MinHash geometry has {num_perm}"
+            )
+    return (
+        f"generation {found.generation}: {len(index.classes)} classes, {versions} "
+        f"versions verified; torn tails (recovery cuts them): journal "
+        f"{found.journal_size - found.journal_end}, pack {len(image) - found.pack_high}"
+    )

@@ -202,3 +202,18 @@ def test_inspect_is_read_only_and_reports_tears(tmp_path):
     assert store2.stats.journal_truncated_bytes > 0
     store2.close()
     assert journal.stat().st_size < size - 2
+
+
+def test_history_eviction_keeps_the_persisted_sketch(tmp_path):
+    """The re-root record carries the sketch: live index == replayed index."""
+    store = Store.open(tmp_path / "state", snapshot_every=4)
+    store.add_class("cls1", "www.s.com", "hint")
+    store.commit_base("cls1", 1, doc(1))
+    store.commit_base("cls1", 2, doc(2), signature=(4, 5, 6))
+    assert store.class_state("cls1").entries[2].encoding == "delta"
+    store.evict_history("cls1")  # v2 is a chain delta: re-rooted as full
+    assert store.class_state("cls1").sketch == [4, 5, 6]
+    store.close()
+    reopened = Store.open(tmp_path / "state")
+    assert reopened.class_state("cls1").sketch == [4, 5, 6]
+    reopened.close()
