@@ -286,8 +286,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"(mode={args.mode}, slots={args.max_connections})",
                 flush=True,
             )
-            if server.engine is not None and args.state_dir:
-                snap = server.engine.store_hooks.snapshot() or {}
+            if server.engine is not None and server.engine.store is not None:
+                snap = server.engine.store.snapshot()
                 print(
                     f"persistent store: {args.state_dir} "
                     f"(warm_start={server.engine.rehydrated_classes > 0}, "

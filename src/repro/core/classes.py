@@ -55,12 +55,15 @@ class EncodeCache:
 
     Safety: a hit can never serve a stale delta.  Entries are keyed by the
     base *version*, the engine's snapshot-encode-commit protocol revalidates
-    that exact version at commit time, and versions are never reused while
-    a class lives (the counter is monotonic; :meth:`DocumentClass.release_base`
-    keeps it, :meth:`DocumentClass.restore_base` — which may set an arbitrary
-    version — clears the cache).  The target checksum pins the document
-    bytes; base bytes for a version are pinned by the promotion-time
-    integrity checksum (corruption quarantines, which also clears).
+    that exact version at commit time, and versions are never reused within
+    one process (the counter is monotonic; :meth:`DocumentClass.release_base`
+    keeps it, and :meth:`DocumentClass.restore_base` — the engine's warm
+    restart setting the persisted version — clears the cache).  A restart
+    can re-mint a number a released class used before it (ROADMAP item
+    6(a)), but the cache starts empty in every process, so it never holds
+    both.  The target checksum pins the document bytes; base bytes for a
+    version are pinned by the promotion-time integrity checksum (corruption
+    quarantines, which also clears).
 
     The cache has its own lock so the engine's off-lock encode path can
     consult it without touching the class lock.

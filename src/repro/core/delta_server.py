@@ -57,13 +57,25 @@ Lock ordering (to stay deadlock-free): shard lock → class lock →
 health lock; storage-manager lock → class lock.  No path acquires two
 class locks at once, and nothing takes a shard or storage lock while
 holding a class lock.
+
+Persistence
+-----------
+
+With a :class:`~repro.store.Store` (``store=``), the engine journals each
+lifecycle event into it where the event happens: class creation, the
+durable base commit (under the class lock), quarantine (under the class
+lock), and — through the grouper and the storage manager — membership,
+popularity checkpoints and budget releases.  The store takes only its own
+lock and never calls back, so every engine lock → store lock edge is
+acyclic.  Construction with a store is a warm restart: classes,
+memberships and latest bases come back from :meth:`Store.classes` before
+the first request.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-import re
 import threading
 import zlib
 from contextlib import contextmanager
@@ -94,7 +106,8 @@ from repro.http.messages import (
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.stats import counter, stats_dict
 from repro.resilience.policy import OriginUnavailable
-from repro.store.hooks import StoreHooks
+from repro.store.pack import PackCorruptionError
+from repro.store.store import Store, StoreError, _class_sort
 from repro.url.rules import RuleBook
 
 BASE_FILE_SEGMENT = "__delta_base__"
@@ -191,7 +204,7 @@ class DeltaServer:
         rulebook: RuleBook | None = None,
         *,
         metrics: MetricsRegistry | None = None,
-        store_hooks: StoreHooks | None = None,
+        store: Store | None = None,
         class_id_prefix: str = "",
     ) -> None:
         self.config = config or DeltaServerConfig()
@@ -200,10 +213,9 @@ class DeltaServer:
         #: ``engine_stage_seconds{stage=...}`` histograms (shared with the
         #: serving layer when wired through ``build_server``).
         self.metrics = metrics or MetricsRegistry()
-        #: persistence glue: lifecycle events flow through these hooks to
-        #: the pack/journal store; the default hooks are no-ops, so the
-        #: engine is unchanged when persistence is off.
-        self.store_hooks = store_hooks or StoreHooks()
+        #: the persistent pack/journal store, or None when persistence is
+        #: off (then no store call is made anywhere in the engine)
+        self.store = store
         # Quarantine membership has its own tiny lock so health probes
         # never wait behind a class lock mid-encode or a struggling
         # origin fetch.
@@ -223,22 +235,17 @@ class DeltaServer:
         self._closed = False
         self._controllers: dict[str, RebaseController] = {}
         self._counters = StripedCounters(STAT_FIELDS)
-        self.storage = StorageManager(
-            self.config.storage_budget_bytes, store_hooks=self.store_hooks
-        )
+        self.storage = StorageManager(self.config.storage_budget_bytes, store=store)
         self.grouper = Grouper(
             config=self.config.grouping,
             rulebook=rulebook or RuleBook(),
             estimator=self._estimator,
             class_factory=self._new_class,
             seed=self.config.seed,
-            member_hook=self.store_hooks.member_added,
-            hit_hook=self.store_hooks.class_hit,
+            store=store,
             metrics=self.metrics,
         )
-        # Warm restart: rebuild classes, memberships, and latest base-file
-        # versions from the persistent store (no-op for the default hooks).
-        self.rehydrated_classes = self.store_hooks.rehydrate(self)
+        self.rehydrated_classes = self._rehydrate(store) if store is not None else 0
 
     # -- wiring ----------------------------------------------------------------
 
@@ -250,7 +257,8 @@ class DeltaServer:
     def _new_class(self, server: str, hint: str) -> DocumentClass:
         class_id = f"{self._class_id_prefix}cls{next(self._class_ids)}"
         cls = self._build_class(class_id, server, hint)
-        self.store_hooks.class_created(class_id, server, hint)
+        if self.store is not None:
+            self.store.add_class(class_id, server, hint)
         return cls
 
     def _build_class(self, class_id: str, server: str, hint: str) -> DocumentClass:
@@ -269,36 +277,42 @@ class DeltaServer:
         self._controllers[class_id] = RebaseController(self.config.base_file)
         return cls
 
-    # -- warm restart -----------------------------------------------------------
+    def _rehydrate(self, store: Store) -> int:
+        """Warm restart: rebuild classes, memberships and latest bases.
 
-    def restore_class(
-        self, class_id: str, server: str, hint: str
-    ) -> DocumentClass | None:
-        """Recreate a persisted class under its original id (warm restart).
-
-        Builds the class and its rebase controller without consuming a
-        fresh id or re-journaling its creation; the caller (the store's
-        rehydration path) registers it with the grouper and restores the
-        base.  Returns ``None`` if the id is already taken — a duplicate
-        journal record, not a reason to fail the whole restart.
+        Runs once, before the first request, over the store's index.
+        Classes come back under their persisted ids, without re-journaling
+        anything, and the id counter resumes past the highest one so a
+        class created after the restart never collides with a persisted
+        one.  A class whose on-disk chain fails materialization (checksum
+        mismatch, torn frame) comes back *base-less* — it re-adopts from
+        its next origin fetch rather than ever serving damaged bytes.
+        Returns the number of classes restored.
         """
-        if class_id in self._controllers:
-            return None
-        return self._build_class(class_id, server, hint)
-
-    def seed_class_counter(self, class_ids: "Iterator[str] | list[str]") -> None:
-        """Advance the class-id counter past every restored id, so new
-        classes created after a warm restart never collide with persisted
-        ones (``cls<N>`` ids are assigned from a monotone counter)."""
-        highest = 0
-        for class_id in class_ids:
-            # Only the trailing run of digits is the counter value: a
-            # fleet-prefixed id like ``w3-cls12`` must seed 12, not 312.
-            match = re.search(r"(\d+)$", class_id)
-            if match:
-                highest = max(highest, int(match.group(1)))
-        if highest:
+        states = sorted(store.classes(), key=lambda st: _class_sort(st.class_id))
+        for state in states:
+            cls = self._build_class(state.class_id, state.server, state.hint)
+            # Base first, grouper second: registration re-sketches the
+            # restored base when its signature was never persisted (or was
+            # sketched with another geometry).
+            if state.latest is not None:
+                try:
+                    document = store.materialize(state.class_id, state.latest)
+                except (StoreError, PackCorruptionError):
+                    pass
+                else:
+                    entry = state.entries[state.latest]
+                    cls.restore_base(document, state.latest, entry.doc_checksum)
+            self.grouper.register(
+                cls, state.members, hits=state.hits, signature=state.sketch
+            )
+        if states:
+            # The trailing digit run is the counter value: a fleet-prefixed
+            # id like ``w3-cls12`` resumes at 13, not 313.
+            highest, _ = _class_sort(states[-1].class_id)
             self._class_ids = itertools.count(highest + 1)
+        store.stats.rehydrated_classes = len(states)
+        return len(states)
 
     def _light_size(self, base: bytes, target: bytes) -> int:
         return self._estimator.estimate(base, target)
@@ -346,7 +360,7 @@ class DeltaServer:
     def _process(
         self, request: Request, now: float, timings: dict[str, float]
     ) -> Response:
-        base_file = self._parse_base_file_url(request.url)
+        base_file = self.parse_base_file_url(request.url)
         if base_file is not None:
             started = perf_counter()
             response = self._serve_base_file(*base_file, timings=timings)
@@ -425,30 +439,29 @@ class DeltaServer:
             # Still under the class lock — class lock → sketch-index lock
             # is the sanctioned ordering.
             signature = self.grouper.refresh_sketch(cls)
-            if cls.version != version_before and cls.can_serve_deltas:
+            if (
+                self.store is not None
+                and cls.version != version_before
+                and cls.can_serve_deltas
+            ):
                 # A promotion happened (adoption, anonymization completion,
                 # or rebase): durably commit the new distributable version.
                 # Still under the class lock, so the committed bytes are
                 # exactly the version being published (class lock → store
                 # lock is the sanctioned ordering).  The signature rides
                 # along so a warm restart does not re-sketch the base.
-                persistent = self.store_hooks.store is not None
                 started = perf_counter()
                 assert cls.distributable_base is not None
-                assert cls.distributable_checksum is not None
-                self.store_hooks.base_committed(
+                self.store.commit_base(
                     cls.class_id,
                     cls.version,
                     cls.distributable_base,
                     cls.distributable_checksum,
                     signature=signature,
                 )
-                if persistent:
-                    timings["store_commit"] = (
-                        timings.get("store_commit", 0.0)
-                        + perf_counter()
-                        - started
-                    )
+                timings["store_commit"] = (
+                    timings.get("store_commit", 0.0) + perf_counter() - started
+                )
 
     def class_of(self, url: str) -> DocumentClass | None:
         """The class a URL has been grouped into, if any (diagnostics).
@@ -470,7 +483,7 @@ class DeltaServer:
             "classes": self.grouper.class_count(),
             "warm_start": self.rehydrated_classes > 0,
             "rehydrated_classes": self.rehydrated_classes,
-            "store": self.store_hooks.snapshot(),
+            "store": self.store.snapshot() if self.store is not None else None,
             "quarantined": quarantined,
             **stats_dict(self.stats),
         }
@@ -484,7 +497,8 @@ class DeltaServer:
         if self._closed:
             return
         self._closed = True
-        self.store_hooks.close()
+        if self.store is not None:
+            self.store.close()
 
     # -- internals ---------------------------------------------------------------
 
@@ -528,7 +542,8 @@ class DeltaServer:
             self._quarantined.add(cls.class_id)
         # Class lock → store lock: the persisted chain becomes garbage so
         # a restart cannot rehydrate the suspect bytes.
-        self.store_hooks.class_quarantined(cls.class_id, cause)
+        if self.store is not None:
+            self.store.quarantine(cls.class_id, cause)
 
     def _maybe_rebase(
         self, cls: DocumentClass, document: bytes, user_id: str | None, now: float
@@ -793,13 +808,16 @@ class DeltaServer:
     # -- base-file distribution -------------------------------------------------------
 
     @staticmethod
-    def _parse_base_file_url(url: str) -> tuple[str, int] | None:
+    def parse_base_file_url(url: str) -> tuple[str, int] | None:
         """Recognize ``<server>/__delta_base__/<class_id>/<version>`` URLs.
 
-        Malformed shapes (missing version, non-integer or negative version,
-        empty class id) return ``None`` — the URL then flows down the
-        ordinary document path instead of crashing the request.  The live
-        server feeds this attacker-controlled bytes, so it must be total.
+        Returns ``(class_id, version)``; the engine serves the base-file,
+        and the fleet router routes the request to the worker that minted
+        the class id.  Malformed shapes (missing version, non-integer or
+        negative version, empty class id) return ``None`` — the URL then
+        flows down the ordinary document path instead of crashing the
+        request.  The live server feeds this attacker-controlled bytes, so
+        it must be total.
         """
         parts = url.split("/")
         if BASE_FILE_SEGMENT not in parts:
@@ -815,15 +833,6 @@ class DeltaServer:
         if not version.isascii() or not version.isdigit():
             return None
         return class_id, int(version)
-
-    @staticmethod
-    def parse_base_file_url(url: str) -> tuple[str, int] | None:
-        """Public base-file URL recognizer: ``(class_id, version)`` or None.
-
-        The fleet router uses this to route a base-file request to the
-        worker that minted the class id.
-        """
-        return DeltaServer._parse_base_file_url(url)
 
     def _serve_base_file(
         self, class_id: str, version: int, *, timings: dict[str, float]

@@ -63,7 +63,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Sequence
 from zlib import crc32
 
 from repro.core.classes import DocumentClass
@@ -72,6 +72,7 @@ from repro.core.sketch import MinHashSketcher, SketchIndex
 from repro.delta.light import LightEstimator
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.stats import counter
+from repro.store.store import HIT_JOURNAL_STRIDE, Store
 from repro.url.parts import URLParts
 from repro.url.rules import RuleBook
 
@@ -107,8 +108,7 @@ class Grouper:
         estimator: LightEstimator,
         class_factory: Callable[[str, str], DocumentClass],
         seed: int = 2002,
-        member_hook: Callable[[str, str], None] | None = None,
-        hit_hook: Callable[[str, int], None] | None = None,
+        store: Store | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self._config = config
@@ -116,13 +116,11 @@ class Grouper:
         self._estimator = estimator
         self._class_factory = class_factory
         self._seed = seed
-        #: persistence hook: fired once per (class_id, url) adoption so the
-        #: store can journal membership; never fired during warm restart.
-        self._member_hook = member_hook
-        #: persistence hook: fired with the absolute per-class hit count on
-        #: every increment, so popularity (which orders heuristic-4 probes)
-        #: survives a restart; the store side decides how often to journal.
-        self._hit_hook = hit_hook
+        #: persistence: membership is journaled once per (class_id, url)
+        #: adoption and popularity (which orders heuristic-4 probes) once
+        #: per HIT_JOURNAL_STRIDE hits, so both survive a restart; nothing
+        #: is journaled while a warm restart registers classes.
+        self._store = store
         self._metrics = metrics
         self.stats = GroupingStats()
 
@@ -196,11 +194,48 @@ class Grouper:
     def create_class(self, parts: URLParts) -> DocumentClass:
         """Create (and register) an empty class for a URL's parts."""
         cls = self._class_factory(parts.server, parts.hint)
+        self.register(cls)
+        return cls
+
+    def register(
+        self,
+        cls: DocumentClass,
+        members: Sequence[str] = (),
+        *,
+        hits: int = 0,
+        signature: Sequence[int] | None = None,
+    ) -> None:
+        """Put ``cls`` into the registry maps: a new class, or a restored one.
+
+        A warm restart passes the persisted membership, popularity and
+        base sketch.  They are already on disk, so nothing is journaled —
+        re-journaling on every restart would grow the journal unboundedly.
+        ``hits`` restores the popularity counter that orders heuristic-4
+        probes.  ``signature`` is the persisted sketch of the (already
+        restored) base; when absent, or from a different sketch geometry,
+        the base is re-sketched so the class stays findable through the
+        LSH index.
+        """
+        with cls.lock:
+            for url in members:
+                cls.add_member(url)
+            cls.stats.hits = max(cls.stats.hits, hits)
         with self._registry_lock:
             self._classes[cls.class_id] = cls
-            self._by_server.setdefault(parts.server, []).append(cls)
-            self._by_key.setdefault(parts.key, []).append(cls)
-        return cls
+            self._by_server.setdefault(cls.server, []).append(cls)
+            self._by_key.setdefault(cls.key, []).append(cls)
+            for url in members:
+                self._url_to_class[url] = cls.class_id
+        if self._sketch_index is None or cls.raw_base is None:
+            return
+        assert self._sketcher is not None
+        with cls.lock:
+            if signature is not None and len(signature) == self._sketcher.num_perm:
+                restored = tuple(int(slot) for slot in signature)
+                cls.note_signature(restored, cls.raw_base)
+                self._sketch_index.register(cls.class_id, restored)
+            else:
+                self.refresh_sketch(cls)
 
     def _shard_lock(self, key: tuple[str, str]) -> threading.Lock:
         lock = self._shard_locks.get(key)
@@ -313,12 +348,13 @@ class Grouper:
         return None
 
     def _note_hit(self, cls: DocumentClass) -> None:
-        """Count one request against a class, feeding the persistence hook."""
+        """Count one request against a class, checkpointing popularity."""
         with cls.lock:
             cls.stats.hits += 1
             hits = cls.stats.hits
-        if self._hit_hook is not None:
-            self._hit_hook(cls.class_id, hits)
+        # The per-request fast path: one modulo, the store only every Nth hit.
+        if self._store is not None and hits % HIT_JOURNAL_STRIDE == 0:
+            self._store.record_hits(cls.class_id, hits)
 
     def _adopt(self, cls: DocumentClass, url: str) -> None:
         with cls.lock:
@@ -327,59 +363,10 @@ class Grouper:
             hits = cls.stats.hits
         with self._registry_lock:
             self._url_to_class[url] = cls.class_id
-        if self._member_hook is not None:
-            self._member_hook(cls.class_id, url)
-        if self._hit_hook is not None:
-            self._hit_hook(cls.class_id, hits)
-
-    def restore_class(
-        self,
-        cls: DocumentClass,
-        members: list[str],
-        *,
-        hits: int = 0,
-        signature: "tuple[int, ...] | list[int] | None" = None,
-    ) -> None:
-        """Register a rehydrated class, membership, popularity and sketch.
-
-        Everything is already on disk, so the member/hit hooks are *not*
-        fired — re-journaling on every restart would grow the journal
-        unboundedly.  ``hits`` restores the popularity counter that orders
-        heuristic-4 probes (it used to reset to 0 on restart, silently
-        discarding the popular-first ordering).  ``signature`` is the
-        persisted base sketch; when absent (or from a different sketch
-        geometry) the restored base is re-sketched so the class is still
-        findable through the LSH index.  Called before the engine serves
-        traffic — and after the base has been restored — but takes the
-        normal locks anyway so it is safe regardless.
-        """
-        with self._registry_lock:
-            self._classes[cls.class_id] = cls
-            self._by_server.setdefault(cls.server, []).append(cls)
-            self._by_key.setdefault(cls.key, []).append(cls)
-        with cls.lock:
-            for url in members:
-                cls.add_member(url)
-            if hits > cls.stats.hits:
-                cls.stats.hits = hits
-        with self._registry_lock:
-            for url in members:
-                self._url_to_class[url] = cls.class_id
-        if self._sketch_index is None:
-            return
-        assert self._sketcher is not None
-        with cls.lock:
-            if signature is not None and len(signature) == self._sketcher.num_perm:
-                restored = tuple(int(slot) for slot in signature)
-                base = (
-                    cls.distributable_base
-                    if cls.can_serve_deltas
-                    else cls.raw_base
-                )
-                cls.note_signature(restored, base)
-                self._sketch_index.register(cls.class_id, restored)
-            else:
-                self.refresh_sketch(cls)
+        if self._store is not None:
+            self._store.add_member(cls.class_id, url)
+            if hits % HIT_JOURNAL_STRIDE == 0:
+                self._store.record_hits(cls.class_id, hits)
 
     def refresh_sketch(self, cls: DocumentClass) -> "tuple[int, ...] | None":
         """Re-register ``cls`` in the LSH index if its base changed.

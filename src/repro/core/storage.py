@@ -30,9 +30,10 @@ per-class read or release happens under that class's own lock, one class
 at a time.  The manager never holds two class locks at once and callers
 must not hold *any* class lock while invoking :meth:`StorageManager.enforce`,
 which together rule out lock-ordering deadlocks with the sharded engine's
-request pipeline.  Store calls take the store's own lock *after* the
-class lock — same direction the engine's commit hook uses, so the
-ordering stays acyclic.  A class released mid-flight is caught by the
+request pipeline.  Calls into the engine's :class:`~repro.store.Store`
+(passed as ``store=``) take the store's own lock *after* the class lock —
+the direction the engine's base commit uses too, so the ordering stays
+acyclic.  A class released mid-flight is caught by the
 engine's delta-commit revalidation (the snapshot version is gone → full
 response).
 """
@@ -46,7 +47,7 @@ from typing import TYPE_CHECKING
 from repro.core.classes import DocumentClass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.store.hooks import StoreHooks
+    from repro.store.store import Store
 
 #: compact the pack once this fraction of its payload bytes is garbage
 DEFAULT_COMPACT_GARBAGE_RATIO = 0.5
@@ -101,19 +102,15 @@ class StorageManager:
         self,
         budget_bytes: int | None = None,
         *,
-        store_hooks: "StoreHooks | None" = None,
+        store: "Store | None" = None,
         compact_garbage_ratio: float = DEFAULT_COMPACT_GARBAGE_RATIO,
     ) -> None:
         if budget_bytes is not None and budget_bytes <= 0:
             raise ValueError(f"budget_bytes must be > 0, got {budget_bytes}")
         self.stats = StorageStats(budget_bytes=budget_bytes)
-        self._hooks = store_hooks
+        self._store = store
         self._compact_garbage_ratio = compact_garbage_ratio
         self._lock = threading.Lock()
-
-    @property
-    def _store(self):
-        return self._hooks.store if self._hooks is not None else None
 
     def total_bytes(self, classes: list[DocumentClass]) -> int:
         """Current storage across ``classes`` — in-memory *and* on-disk."""
@@ -194,14 +191,13 @@ class StorageManager:
                     continue
                 with cls.lock:
                     freed = cls.release_base()
-                    if freed and self._hooks is not None:
+                    if freed and store is not None:
                         # Journal the release so a crash-restart does not
                         # resurrect bytes the budget just reclaimed (the
                         # store's chain for this class becomes garbage,
                         # which also counts as reclaimed space).
-                        if store is not None:
-                            freed += store.class_disk_bytes(cls.class_id)
-                        self._hooks.base_released(cls.class_id)
+                        freed += store.class_disk_bytes(cls.class_id)
+                        store.release(cls.class_id)
                 if freed:
                     reclaimed += freed
                     self.stats.base_releases += 1

@@ -280,7 +280,7 @@ class DeltaHTTPServer(ServerShell):
                 gauges={"classes": len(grouper.classes)},
             )
             lines += stats_lines(grouper.stats, "repro_grouping_")
-            store = self.engine.store_hooks.store
+            store = self.engine.store
             if store is not None:
                 lines += stats_lines(
                     store.stats, "repro_store_", gauges=store.gauges()
@@ -362,23 +362,18 @@ def build_server(
             rulebook.add_rule(site.spec.name, site.hint_rule_pattern())
         if fleet is not None:
             router = FleetRouter(fleet, rulebook)
-        store_hooks = None
+        store = None
         if state_dir is not None:
-            from repro.store import (
-                DEFAULT_SNAPSHOT_EVERY,
-                PersistentStoreHooks,
-                Store,
-            )
+            from repro.store import DEFAULT_SNAPSHOT_EVERY, Store
 
             store = Store.open(
                 state_dir,
                 snapshot_every=snapshot_every or DEFAULT_SNAPSHOT_EVERY,
                 metrics=registry,
             )
-            store_hooks = PersistentStoreHooks(store)
         engine = DeltaServer(
             origin_fetch, config, rulebook, metrics=registry,
-            store_hooks=store_hooks,
+            store=store,
             # Fleet workers mint ids under w<k>- so base-file URLs route
             # back to the worker that owns the class (and its shard).
             class_id_prefix=(

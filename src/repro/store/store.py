@@ -109,6 +109,11 @@ CURRENT_FILE = "CURRENT"
 #: the default chain bound K: a full snapshot roots every K-th version
 DEFAULT_SNAPSHOT_EVERY = 8
 
+#: journal a hit-count checkpoint every this many hits per class — the
+#: trade between journal growth (one tiny record per stride) and how much
+#: popularity-ordering accuracy a crash can cost (at most stride-1 hits)
+HIT_JOURNAL_STRIDE = 16
+
 FULL = "full"
 DELTA = "delta"
 
@@ -509,8 +514,8 @@ class Store:
 
         Buffered, not fsync'd: losing the tail after a crash costs a few
         hits of probe-ordering accuracy, nothing more.  Callers throttle
-        (see :class:`~repro.store.hooks.PersistentStoreHooks`) so the
-        journal grows by one small record per stride of hits, not per
+        (the grouper checkpoints every :data:`HIT_JOURNAL_STRIDE` hits) so
+        the journal grows by one small record per stride of hits, not per
         request.  Monotone: a stale checkpoint never lowers the count.
         """
         with self._lock:

@@ -175,7 +175,7 @@ class TestMalformedBaseFileUrls:
         ],
     )
     def test_parse_returns_none(self, url):
-        assert DeltaServer._parse_base_file_url(url) is None
+        assert DeltaServer.parse_base_file_url(url) is None
 
     @pytest.mark.parametrize(
         "url",
@@ -190,14 +190,14 @@ class TestMalformedBaseFileUrls:
         assert server.handle(Request(url=url), now=0.0).status == 404
 
     def test_wellformed_url_still_parses(self):
-        parsed = DeltaServer._parse_base_file_url(
+        parsed = DeltaServer.parse_base_file_url(
             "www.d.example/__delta_base__/cls7/12"
         )
         assert parsed == ("cls7", 12)
 
     def test_extra_trailing_segments_tolerated(self):
         # Anything after <class>/<version> is ignored, not an error.
-        parsed = DeltaServer._parse_base_file_url(
+        parsed = DeltaServer.parse_base_file_url(
             "www.d.example/__delta_base__/cls7/12/extra"
         )
         assert parsed == ("cls7", 12)

@@ -136,7 +136,7 @@ class TestHistoryBudget:
     """Stage-0: on-disk history eviction, the live/history split, compaction."""
 
     def _store_with_history(self, tmp_path, classes):
-        from repro.store import PersistentStoreHooks, Store
+        from repro.store import Store
 
         store = Store.open(tmp_path / "state", snapshot_every=4)
         for cls in classes:
@@ -145,12 +145,12 @@ class TestHistoryBudget:
                 store.commit_base(
                     cls.class_id, v, b"v" * 400 + str(v).encode() * 40
                 )
-        return store, PersistentStoreHooks(store)
+        return store
 
     def test_usage_reports_live_history_split(self, tmp_path):
         cls = make_class("c1", b"x" * 1000)
-        store, hooks = self._store_with_history(tmp_path, [cls])
-        manager = StorageManager(store_hooks=hooks)
+        store = self._store_with_history(tmp_path, [cls])
+        manager = StorageManager(store=store)
         live, history = manager.usage([cls])
         assert live == 1000
         assert history == store.live_pack_bytes > 0
@@ -162,12 +162,12 @@ class TestHistoryBudget:
     def test_history_evicted_before_bases_released(self, tmp_path):
         hot = make_class("hot", b"h" * 1000, hits=100)
         cold = make_class("cold", b"c" * 1000, hits=1)
-        store, hooks = self._store_with_history(tmp_path, [hot, cold])
+        store = self._store_with_history(tmp_path, [hot, cold])
         history = store.live_pack_bytes
         # Budget covers both live bases, but not the full history: stage 0
         # must reclaim history without touching any in-memory base.
         budget = 2000 + history // 2
-        manager = StorageManager(budget, store_hooks=hooks)
+        manager = StorageManager(budget, store=store)
         reclaimed = manager.enforce([hot, cold])
         assert reclaimed > 0
         assert manager.stats.history_evictions > 0
@@ -182,8 +182,8 @@ class TestHistoryBudget:
 
         hot = make_class("hot", b"h" * 1000, hits=100)
         cold = make_class("cold", b"c" * 1000, hits=1)
-        store, hooks = self._store_with_history(tmp_path, [hot, cold])
-        manager = StorageManager(1000, store_hooks=hooks)
+        store = self._store_with_history(tmp_path, [hot, cold])
+        manager = StorageManager(1000, store=store)
         manager.enforce([hot, cold], protect=hot)
         assert manager.stats.base_releases > 0
         assert cold.raw_base is None
@@ -196,10 +196,10 @@ class TestHistoryBudget:
 
     def test_compaction_triggered_by_garbage_ratio(self, tmp_path):
         cold = make_class("cold", b"c" * 1000, hits=1)
-        store, hooks = self._store_with_history(tmp_path, [cold])
+        store = self._store_with_history(tmp_path, [cold])
         pack_before = store.pack_bytes
         manager = StorageManager(
-            1100, store_hooks=hooks, compact_garbage_ratio=0.3
+            1100, store=store, compact_garbage_ratio=0.3
         )
         manager.enforce([cold])
         assert manager.stats.compactions == 1

@@ -16,6 +16,7 @@ SIGKILLs workers mid-flight.  Required outcomes:
 import asyncio
 import os
 import signal
+from collections import Counter
 
 from repro.fleet import FleetConfig, FleetSupervisor, http_get
 from repro.http.messages import Request
@@ -23,6 +24,7 @@ from repro.origin.server import OriginServer
 from repro.origin.site import SiteSpec, SyntheticSite
 from repro.serve import LoadGenConfig, LoadGenerator
 from repro.serve.loadgen import RETRY_TRANSPORT
+from repro.url.rules import RuleBook
 from repro.workload.generator import WorkloadSpec, generate_workload
 
 SITE = "www.fleetchaos.example"
@@ -69,15 +71,37 @@ def make_verify_render():
     return verify
 
 
-async def kill_workers(supervisor: FleetSupervisor, kills: int) -> int:
-    """SIGKILL workers one at a time, waiting for each recovery."""
+def hottest_owner(supervisor: FleetSupervisor, trace) -> int:
+    """The worker owning the trace's most requested class key.
+
+    Every request for that key ends in its engine, whichever worker the
+    kernel handed the connection to (the others forward), so while it is
+    down each such request fails over to a client retry.
+    """
+    site = SyntheticSite(make_spec())
+    rulebook = RuleBook()
+    rulebook.add_rule(site.spec.name, site.hint_rule_pattern())
+    keys = Counter(rulebook.partition(record.url).key for record in trace)
+    (server, hint), _ = keys.most_common(1)[0]
+    return supervisor.partition.owner(server, hint)
+
+
+async def kill_workers(
+    supervisor: FleetSupervisor, kills: int, first: int, storm_running: asyncio.Event
+) -> int:
+    """SIGKILL workers one at a time, starting at ``first``, waiting for
+    each recovery."""
     killed = 0
     for i in range(kills):
         # The first kill must land while the storm is still running (its
         # 500 requests take under a second on a fast box), or no client
-        # ever retries and the "kills were felt" gate has nothing to see.
-        await asyncio.sleep(0.8 if i else 0.2)
-        handle = supervisor.handles[i % len(supervisor.handles)]
+        # ever retries and the "kills were felt" gate has nothing to see:
+        # it waits for the storm's first verified answers, not a clock.
+        if i:
+            await asyncio.sleep(0.8)
+        else:
+            await storm_running.wait()
+        handle = supervisor.handles[(first + i) % len(supervisor.handles)]
         restarts_before = handle.restarts
         pid = handle.pid
         if pid is None:
@@ -118,7 +142,22 @@ def test_fleet_chaos_soak(tmp_path):
             assert warm.completed == 60
             assert warm.verify_failures == 0
 
-            # The storm: verified load and the killer run concurrently.
+            # The storm: verified load and the killer run concurrently.  The
+            # first victim owns the storm's hottest class, and it is killed
+            # once the storm has answered a few requests: hundreds of
+            # requests, most of them for that class, are still to come.
+            storm = make_workload(500, seed=13).trace
+            storm_running = asyncio.Event()
+            verify = make_verify_render()
+            answered = 0
+
+            def verify_storm(url: str, user: str, served_at: float) -> bytes:
+                nonlocal answered
+                answered += 1
+                if answered == 10:
+                    storm_running.set()
+                return verify(url, user, served_at)
+
             generator = LoadGenerator(
                 LoadGenConfig(
                     host=host,
@@ -133,12 +172,12 @@ def test_fleet_chaos_soak(tmp_path):
                     retry_backoff=0.05,
                     retry_backoff_cap=1.0,
                 ),
-                verify_render=make_verify_render(),
+                verify_render=verify_storm,
             )
-            load_task = asyncio.ensure_future(
-                generator.run(make_workload(500, seed=13).trace)
+            load_task = asyncio.ensure_future(generator.run(storm))
+            killed = await kill_workers(
+                supervisor, KILLS, hottest_owner(supervisor, storm), storm_running
             )
-            killed = await kill_workers(supervisor, KILLS)
             report = await load_task
             assert killed == KILLS
 

@@ -1,6 +1,6 @@
 """Quarantine → re-adoption → restart: the healed base is what survives.
 
-Completes the store-hooks quarantine story from
+Completes the store's quarantine story from
 ``test_warm_restart.test_quarantined_class_restarts_baseless``: a
 quarantine wipes the persisted chain, but once the class heals (the
 next fetch re-adopts a fresh base), that *re-adopted* base is committed
@@ -11,7 +11,7 @@ delta-servable again.
 from repro.core.config import AnonymizationConfig, DeltaServerConfig
 from repro.core.delta_server import DeltaServer
 from repro.http.messages import HEADER_DELTA, Request, Response, base_ref
-from repro.store import PersistentStoreHooks, Store
+from repro.store import Store
 
 BASE = b"<html>" + b"shared page shell " * 120 + b"</html>"
 URL = "www.s.com/app/page-0"
@@ -31,7 +31,7 @@ def build_engine(tmp_path) -> tuple[DeltaServer, ScriptedOrigin]:
     config = DeltaServerConfig(
         anonymization=AnonymizationConfig(enabled=False)
     )
-    engine = DeltaServer(origin, config, store_hooks=PersistentStoreHooks(store))
+    engine = DeltaServer(origin, config, store=store)
     return engine, origin
 
 

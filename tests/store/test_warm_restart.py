@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import AnonymizationConfig, DeltaServerConfig
 from repro.core.delta_server import DeltaServer
 from repro.http.messages import HEADER_DELTA, HEADER_DELTA_BASE, Request, Response, base_ref
-from repro.store import PersistentStoreHooks, Store
+from repro.store import Store
 
 BASE = b"<html>" + b"shared page shell " * 120 + b"</html>"
 
@@ -30,9 +30,7 @@ def engine_config() -> DeltaServerConfig:
 
 def build_engine(tmp_path, origin) -> DeltaServer:
     store = Store.open(tmp_path / "state", snapshot_every=4)
-    return DeltaServer(
-        origin, engine_config(), store_hooks=PersistentStoreHooks(store)
-    )
+    return DeltaServer(origin, engine_config(), store=store)
 
 
 def serve_corpus(engine, origin, urls):
@@ -142,7 +140,7 @@ def test_version_history_materializes_after_restart(tmp_path):
         doc = BASE + f"<p>rebased generation {v}</p>".encode()
         with cls.lock:
             cls.adopt_base(doc, owner_user=None, now=float(v))
-            engine.store_hooks.base_committed(
+            engine.store.commit_base(
                 cls.class_id, cls.version, doc, cls.distributable_checksum
             )
         history[cls.version] = doc
@@ -154,8 +152,8 @@ def test_version_history_materializes_after_restart(tmp_path):
     store.close()
 
 
-def test_no_store_hooks_is_a_true_noop(tmp_path):
-    """Without hooks the engine works exactly as before (cold every time)."""
+def test_no_store_is_a_true_noop(tmp_path):
+    """Without a store the engine works exactly as before (cold every time)."""
     origin = ScriptedOrigin()
     engine = DeltaServer(origin, engine_config())
     url = "www.s.com/app/page-0"

@@ -13,8 +13,7 @@ from repro.core.config import AnonymizationConfig, DeltaServerConfig
 from repro.core.delta_server import DeltaServer
 from repro.core.sketch import MinHashSketcher
 from repro.http.messages import Request, Response
-from repro.store import PersistentStoreHooks, Store
-from repro.store.hooks import HIT_JOURNAL_STRIDE
+from repro.store import HIT_JOURNAL_STRIDE, Store
 
 SHELL = b"<html>" + b"shared page shell " * 160 + b"</html>"
 
@@ -40,7 +39,7 @@ class ScriptedOrigin:
 def build_engine(tmp_path, origin) -> DeltaServer:
     store = Store.open(tmp_path / "state", snapshot_every=4)
     config = DeltaServerConfig(anonymization=AnonymizationConfig(enabled=False))
-    return DeltaServer(origin, config, store_hooks=PersistentStoreHooks(store))
+    return DeltaServer(origin, config, store=store)
 
 
 def serve(engine, origin, url, doc, now=0.0):
@@ -102,7 +101,7 @@ def test_sketches_survive_kill_restart_byte_identically(tmp_path):
     assert after == before
     # The signatures came off disk, not from re-sketching the bases.
     for class_id in before:
-        state = restarted.store_hooks.store.class_state(class_id)
+        state = restarted.store.class_state(class_id)
         assert state.sketch is not None
         assert tuple(state.sketch) == before[class_id]
     restarted.close()
@@ -161,7 +160,7 @@ def test_hits_and_sketch_survive_compaction(tmp_path):
         serve(engine, origin, url, SHELL + b"<p>app</p>", now=float(i))
     cls = engine.class_of(url)
     signature = cls.base_signature
-    store = engine.store_hooks.store
+    store = engine.store
     store.compact()
     engine.close()
 
