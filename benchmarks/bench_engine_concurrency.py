@@ -125,7 +125,7 @@ def build_trace(
 def make_engine(
     mode: str, documents: dict[int, bytes], origin_delay: float
 ) -> DeltaServer:
-    def fetch(request: Request, now: float) -> Response:
+    async def fetch(request: Request, now: float) -> Response:
         if origin_delay:
             time.sleep(origin_delay)
         index = int(request.headers.get(INDEX_HEADER, "-1"))

@@ -45,7 +45,7 @@ def main() -> None:
             basic_rebase_ratio=0.2,
         ),
     )
-    server = DeltaServer(origin.handle, config, rulebook)
+    server = DeltaServer(origin.fetch, config, rulebook)
 
     url = site.url_for(site.all_pages()[0])
     clients = [DeltaClient(server.handle) for _ in range(4)]

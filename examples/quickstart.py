@@ -28,7 +28,7 @@ def main() -> None:
     config = DeltaServerConfig(
         anonymization=AnonymizationConfig(enabled=True, documents=3, min_count=1)
     )
-    server = DeltaServer(origin.handle, config, rulebook)
+    server = DeltaServer(origin.fetch, config, rulebook)
 
     url = site.url_for(site.all_pages()[0])
     print(f"document URL: {url}\n")

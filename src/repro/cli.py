@@ -262,8 +262,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             [site],
             mode=args.mode,
             config=config,
-            origin_latency=args.origin_latency,
-            origin_jitter=args.origin_jitter,
             fault_plan=fault_plan,
             resilience=resilience,
             executor_kind=args.executor,
@@ -348,8 +346,6 @@ def _fleet_worker_passthrough(args: argparse.Namespace) -> list[str]:
         "--request-timeout", str(args.request_timeout),
         "--drain-timeout", str(args.drain_timeout),
         "--executor", args.executor,
-        "--origin-latency", str(args.origin_latency),
-        "--origin-jitter", str(args.origin_jitter),
         "--origin-retries", str(args.origin_retries),
         "--origin-deadline", str(args.origin_deadline),
         "--breaker-threshold", str(args.breaker_threshold),
@@ -671,13 +667,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="where delta generation runs")
     serve.add_argument("--executor-workers", type=int, default=None,
                        help="thread-pool size (default: min(64, 4 x cores))")
-    serve.add_argument("--origin-latency", type=float, default=0.0,
-                       help="injected origin fetch latency, seconds")
-    serve.add_argument("--origin-jitter", type=float, default=0.0,
-                       help="uniform extra origin latency, seconds")
     serve.add_argument("--fault-plan", default=None,
                        help="structured fault injection, e.g. "
-                       "'error:rate=0.1,status=500;latency:rate=0.05,delay=0.2'")
+                       "'error:rate=0.1,status=500;latency:delay=0.2,jitter=0.1'")
     serve.add_argument("--fault-seed", type=int, default=23)
     serve.add_argument("--no-resilience", action="store_true",
                        help="disable origin retries/backoff and the circuit breaker")

@@ -29,6 +29,11 @@ deltas").
 Concurrency — the sharded engine
 --------------------------------
 
+The pipeline is one coroutine, :meth:`DeltaServer.serve`, whose only
+``await`` is the origin fetch.  :meth:`DeltaServer.handle` drives it with
+``run_sync`` over the engine's own fetch, which never suspends, so it is
+the blocking call the simulation and the executor threads make.
+
 The paper models a single-CPU delta-server; this engine is sharded for
 per-class concurrency instead (a caller that wants the single-CPU model
 holds one lock around :meth:`DeltaServer.handle`, as the concurrency
@@ -81,7 +86,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.core.classes import DocumentClass
 from repro.core.config import DeltaServerConfig
@@ -103,16 +108,15 @@ from repro.http.messages import (
     Response,
     base_ref,
 )
+from repro.http.sync import run_sync
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.stats import counter, stats_dict
-from repro.resilience.policy import OriginUnavailable
+from repro.resilience.policy import OriginFetch, OriginUnavailable
 from repro.store.pack import PackCorruptionError
 from repro.store.store import Store, StoreError, _class_sort
 from repro.url.rules import RuleBook
 
 BASE_FILE_SEGMENT = "__delta_base__"
-
-OriginFetch = Callable[[Request, float], Response]
 
 
 def format_stage_times(timings: dict[str, float]) -> str:
@@ -333,6 +337,10 @@ class DeltaServer:
     # -- request handling ----------------------------------------------------------
 
     def handle(self, request: Request, now: float) -> Response:
+        """:meth:`serve` over the engine's own origin fetch, driven to completion."""
+        return run_sync(self.serve(request, now, self._origin_fetch))
+
+    async def serve(self, request: Request, now: float, fetch: OriginFetch) -> Response:
         """Process one client (or proxy-forwarded) request.
 
         Thread-safe: concurrent callers for different classes proceed in
@@ -346,7 +354,20 @@ class DeltaServer:
         request — shard, class, and commit lock acquisitions.
         """
         timings: dict[str, float] = {"lock_wait": 0.0}
-        response = self._process(request, now, timings)
+        base_file = self.parse_base_file_url(request.url)
+        started = perf_counter()
+        if base_file is not None:
+            response = self._serve_base_file(*base_file, timings=timings)
+            timings["base_file"] = perf_counter() - started
+        else:
+            try:
+                origin_response: Response | None = await fetch(request, now)
+            except OriginUnavailable:
+                # The resilience policy gave up (circuit open, retries or
+                # deadline spent): degrade gracefully instead of failing.
+                origin_response = None
+            timings["origin_fetch"] = perf_counter() - started
+            response = self._process(request, origin_response, now, timings)
         response.headers.set(HEADER_STAGE_TIMES, format_stage_times(timings))
         for stage, seconds in timings.items():
             self.metrics.observe(
@@ -358,24 +379,14 @@ class DeltaServer:
         return response
 
     def _process(
-        self, request: Request, now: float, timings: dict[str, float]
+        self,
+        request: Request,
+        origin_response: Response | None,
+        now: float,
+        timings: dict[str, float],
     ) -> Response:
-        base_file = self.parse_base_file_url(request.url)
-        if base_file is not None:
-            started = perf_counter()
-            response = self._serve_base_file(*base_file, timings=timings)
-            timings["base_file"] = perf_counter() - started
-            return response
-
-        started = perf_counter()
-        try:
-            origin_response = self._origin_fetch(request, now)
-        except OriginUnavailable:
-            # The resilience policy gave up (circuit open, retries or
-            # deadline spent): degrade gracefully instead of failing.
-            timings["origin_fetch"] = perf_counter() - started
+        if origin_response is None:
             return self._degraded_response(request, timings)
-        timings["origin_fetch"] = perf_counter() - started
         self._counters.inc("requests")
         if (
             origin_response.status != 200

@@ -1,14 +1,16 @@
 """Drive a role core written as ``async def`` from synchronous code.
 
-The client protocol (:mod:`repro.client.protocol`) and the proxy policy
-(:mod:`repro.proxy.proxy`) are each written once, as coroutines over an
-injected ``send`` / ``forward``.  The live tiers await them on the event
-loop; the simulation injects in-process calls, so nothing ever suspends
-and one ``send(None)`` runs the coroutine to its ``return``.
+The client protocol (:mod:`repro.client.protocol`), the proxy policy
+(:mod:`repro.proxy.proxy`) and the engine (:mod:`repro.core.delta_server`)
+are each written once, as coroutines over an injected ``send`` /
+``forward`` / ``fetch``.  The live tiers await them on the event loop; the
+simulation injects in-process calls, so nothing ever suspends and one
+``send(None)`` runs the coroutine to its ``return``.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Any, Coroutine, TypeVar
 
 T = TypeVar("T")
@@ -22,3 +24,8 @@ def run_sync(coroutine: Coroutine[Any, Any, T]) -> T:
         return done.value
     coroutine.close()
     raise RuntimeError("coroutine suspended: run_sync drives in-process calls only")
+
+
+async def blocking_sleep(seconds: float) -> None:
+    """An awaitable ``sleep`` that blocks the thread and never suspends."""
+    time.sleep(seconds)

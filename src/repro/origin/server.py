@@ -102,6 +102,10 @@ class OriginServer:
             self.stats.bytes_rendered += len(body)
         return Response(status=200, body=body)
 
+    async def fetch(self, request: Request, now: float) -> Response:
+        """:meth:`handle` as an in-process origin fetch (never suspends)."""
+        return self.handle(request, now)
+
     def _render(
         self, site: SyntheticSite, page: PageKey, request: Request, now: float
     ) -> bytes:

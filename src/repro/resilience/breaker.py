@@ -14,7 +14,9 @@ three states:
   ``cooldown`` seconds.  Callers degrade instead of hanging.
 * **half-open** — after the cooldown, up to ``probes`` concurrent trial
   calls are let through.  ``probes`` successes close the breaker (window
-  cleared); any probe failure reopens it and restarts the cooldown.
+  cleared); any probe failure reopens it and restarts the cooldown.  A
+  probe abandoned with no outcome must :meth:`~CircuitBreaker.release`
+  its slot, or ``probes`` of them would wedge the breaker half-open.
 
 Thread-safe: the live server records outcomes from executor worker
 threads.  The clock is injectable for deterministic tests.
@@ -145,6 +147,12 @@ class CircuitBreaker:
                     failures = sum(1 for ok in self._outcomes if not ok)
                     if failures / len(self._outcomes) >= self.failure_threshold:
                         self._open()
+
+    def release(self) -> None:
+        """Hand back the half-open slot of a call that recorded no outcome."""
+        with self._lock:
+            if self._state == HALF_OPEN and self._probes_in_flight > 0:
+                self._probes_in_flight -= 1
 
     # -- internals (call with the lock held) -----------------------------------
 

@@ -1,8 +1,8 @@
 """Origin resilience policy: retries, backoff, deadline budget, breaker.
 
-:class:`ResilientOrigin` wraps any ``(request, now) -> Response`` origin
-fetch (in practice :meth:`repro.serve.gateway.OriginGateway.fetch_sync`)
-with the standard in-path survival kit:
+:class:`ResilientOrigin` wraps any :data:`OriginFetch` (in practice
+:meth:`repro.serve.gateway.OriginGateway.fetch`) with the standard
+in-path survival kit:
 
 * **bounded retries with exponential backoff + jitter** — a transient
   origin error (5xx response, connection reset, render exception) is
@@ -27,22 +27,27 @@ because the origin blinked.
 The same ``now`` value is passed to every retry, so a time-dependent
 origin renders the identical snapshot on each attempt — retries are
 idempotent by construction.
+
+Backoff pauses go through the injected ``sleep`` (``asyncio.sleep``, or
+``blocking_sleep`` under ``run_sync`` on an executor thread).
 """
 
 from __future__ import annotations
 
+import asyncio
 import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Awaitable, Callable
 
 from repro.http.messages import Request, Response
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.stats import counter, stats_dict
 from repro.resilience.breaker import CircuitBreaker
 
-OriginFetch = Callable[[Request, float], Response]
+#: ``await fetch(request, now)``: the engine's origin, and this policy's
+OriginFetch = Callable[[Request, float], Awaitable[Response]]
 
 
 class OriginUnavailable(RuntimeError):
@@ -117,7 +122,7 @@ class ResilienceStats:
 
 
 class ResilientOrigin:
-    """Retry/backoff/breaker wrapper around a blocking origin fetch."""
+    """Retry/backoff/breaker wrapper around an origin fetch."""
 
     def __init__(
         self,
@@ -126,7 +131,7 @@ class ResilientOrigin:
         *,
         breaker: CircuitBreaker | None = None,
         clock: Callable[[], float] | None = None,
-        sleep: Callable[[float], None] | None = None,
+        sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
         seed: int = 17,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -139,7 +144,7 @@ class ResilientOrigin:
         self.metrics = metrics or MetricsRegistry()
         self._fetch = fetch
         self._clock = clock or time.monotonic
-        self._sleep = sleep or time.sleep
+        self._sleep = sleep
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
 
@@ -153,6 +158,16 @@ class ResilientOrigin:
             jitter = self._rng.random()
         return base * (1.0 + self.config.backoff_jitter * jitter)
 
+    def _give_up(
+        self, reason: str, attempts: int, last_status: int | None
+    ) -> OriginUnavailable:
+        return OriginUnavailable(
+            reason,
+            breaker_state=self.breaker.state,
+            attempts=attempts,
+            last_status=last_status,
+        )
+
     @staticmethod
     def _is_failure(response: Response) -> bool:
         # 5xx means the origin failed to render; everything else (404s,
@@ -161,12 +176,8 @@ class ResilientOrigin:
 
     # -- public API ------------------------------------------------------------
 
-    def fetch_sync(self, request: Request, now: float) -> Response:
-        """Fetch with retries; raises :class:`OriginUnavailable` on defeat.
-
-        Drop-in for :meth:`OriginGateway.fetch_sync` (runs on executor
-        worker threads, so it may block in ``sleep``).
-        """
+    async def fetch(self, request: Request, now: float) -> Response:
+        """Fetch with retries; raises :class:`OriginUnavailable` on defeat."""
         config = self.config
         with self._lock:
             self.stats.calls += 1
@@ -178,15 +189,11 @@ class ResilientOrigin:
             if not self.breaker.allow():
                 with self._lock:
                     self.stats.fast_fails += 1
-                raise OriginUnavailable(
-                    "circuit open",
-                    breaker_state=self.breaker.state,
-                    attempts=attempt,
-                    last_status=last_status,
-                )
+                raise self._give_up("circuit open", attempt, last_status)
             attempt_started = self._clock()
+            outcome: str | None = None
             try:
-                response = self._fetch(request, now)
+                response = await self._fetch(request, now)
             except OriginUnavailable:
                 raise
             except Exception as exc:
@@ -201,6 +208,12 @@ class ResilientOrigin:
                 else:
                     self.breaker.record_success()
                     outcome = "success"
+            finally:
+                # Cancelled (request timeout, drain) or an inner
+                # OriginUnavailable: nothing to record, but a half-open
+                # probe slot this attempt holds must not leak.
+                if outcome is None:
+                    self.breaker.release()
             self.metrics.observe(
                 "origin_attempt_seconds",
                 self._clock() - attempt_started,
@@ -213,21 +226,15 @@ class ResilientOrigin:
             if attempt > config.retries:
                 with self._lock:
                     self.stats.exhausted += 1
-                raise OriginUnavailable(
-                    "retries exhausted",
-                    breaker_state=self.breaker.state,
-                    attempts=attempt,
-                    last_status=last_status,
+                raise self._give_up(
+                    "retries exhausted", attempt, last_status
                 ) from last_error
             pause = self._pause(attempt - 1)
             if self._clock() + pause >= deadline:
                 with self._lock:
                     self.stats.deadline_exhausted += 1
-                raise OriginUnavailable(
-                    "deadline budget exhausted",
-                    breaker_state=self.breaker.state,
-                    attempts=attempt,
-                    last_status=last_status,
+                raise self._give_up(
+                    "deadline budget exhausted", attempt, last_status
                 ) from last_error
             with self._lock:
                 self.stats.retries += 1
@@ -237,7 +244,7 @@ class ResilientOrigin:
                 pause,
                 help="backoff pauses between origin retry attempts",
             )
-            self._sleep(pause)
+            await self._sleep(pause)
 
     def snapshot(self) -> dict:
         """Policy + breaker counters for health reporting."""

@@ -21,8 +21,8 @@ Modules:
 * :mod:`repro.serve.executor` — :class:`DeltaExecutor`, worker-pool
   offload so the event loop never blocks on the differ.
 * :mod:`repro.serve.gateway` — :class:`OriginGateway`, the bridge to the
-  origin site with injectable latency and structured fault plans
-  (:mod:`repro.resilience.faults`).
+  origin site, one async fetch with structured fault plans
+  (:mod:`repro.resilience.faults`) injected.
 * :mod:`repro.serve.loadgen` — :class:`LoadGenerator`, closed/open-loop
   trace replay: the socket driver of :mod:`repro.client.protocol`, with
   verification of every reconstructed byte.

@@ -5,37 +5,32 @@ gateway is that adjacency for the live stack: it hands requests to a
 :class:`~repro.origin.server.OriginServer` and exposes the injection
 points for robustness testing:
 
-* **latency** — a fixed floor plus uniform jitter per fetch, modelling a
-  backend that is not colocated (drives the per-request-timeout path in
-  :mod:`repro.serve.server`);
 * **fault plan** — a :class:`~repro.resilience.faults.FaultPlan`: a
   structured, seeded, schedulable composition of error bursts, latency
-  spikes, slow-drip responses, payload corruption, and connection resets
-  (drives the retry/breaker/degradation machinery end to end);
+  (a fixed delay plus uniform jitter per fetch, modelling a backend that
+  is not colocated), slow-drip responses, payload corruption, and
+  connection resets (drives the retry/breaker/degradation machinery and
+  the per-request-timeout path end to end);
 * **fault hook** — the legacy single callable that may substitute an
   error response for any request; still supported, and hardened: a hook
   that *raises* is converted into an injected 500 and counted
   (``hook_failures``) instead of escaping with the gateway lock's stats
   half-updated and killing the worker request.
 
-``fetch_sync`` is the flavour the :class:`DeltaServer` engine consumes as
-its ``origin_fetch`` (it runs on executor worker threads, so it may
-``time.sleep``); ``fetch`` is the awaitable flavour used when the serving
-layer bypasses the engine (plain mode health checks, tests).  Renders run
-in parallel — the sharded engine fetches off-lock and the origin's
-renderer is pure — while the gateway's internal lock only covers its
-stats counters and the injection decisions (seeded rng draws, fault-plan
-bookkeeping), so a slow render never convoys other fetches.
+:meth:`OriginGateway.fetch` is the one fetch; it waits through the
+injected ``sleep`` (``asyncio.sleep``, or ``blocking_sleep`` when the
+engine runs it on executor threads).  Renders run in parallel — the
+sharded engine fetches off-lock and the origin's renderer is pure —
+while the gateway's internal lock only covers its stats counters and
+the injection decisions, so a slow render never convoys other fetches.
 """
 
 from __future__ import annotations
 
 import asyncio
-import random
 import threading
-import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Awaitable, Callable
 
 from repro.http.messages import Request, Response
 from repro.metrics.stats import counter
@@ -67,40 +62,21 @@ class OriginGateway:
         self,
         origin: OriginServer,
         *,
-        latency: float = 0.0,
-        jitter: float = 0.0,
         fault_hook: FaultHook | None = None,
         fault_plan: FaultPlan | None = None,
-        seed: int = 7,
+        sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
     ) -> None:
-        if latency < 0 or jitter < 0:
-            raise ValueError("latency and jitter must be >= 0")
         self.origin = origin
-        self.latency = latency
-        self.jitter = jitter
         self.fault_hook = fault_hook
         self.fault_plan = fault_plan
         self.stats = GatewayStats()
-        self._rng = random.Random(seed)
+        self._sleep = sleep
         self._lock = threading.Lock()
 
-    def _draw_delay(self) -> float:
-        with self._lock:
-            if self.jitter:
-                return self.latency + self._rng.random() * self.jitter
-            return self.latency
-
-    def _plan_action(self, request: Request) -> FaultAction:
-        if self.fault_plan is None:
-            return FaultAction()
-        return self.fault_plan.decide(request)
-
-    def _complete(
-        self, request: Request, now: float, delay: float, action: FaultAction
-    ) -> Response:
+    def _complete(self, request: Request, now: float, action: FaultAction) -> Response:
         with self._lock:
             self.stats.fetches += 1
-            self.stats.injected_latency_seconds += delay
+            self.stats.injected_latency_seconds += action.pre_delay
             if action.exception is not None:
                 self.stats.resets_injected += 1
                 raise action.exception
@@ -133,34 +109,16 @@ class OriginGateway:
                 self.stats.corruptions_injected += 1
         return response
 
-    def _drip_delay(self, action: FaultAction, response: Response) -> float:
-        if not action.drip_bps or not response.body:
-            return 0.0
-        drip = len(response.body) / action.drip_bps
-        with self._lock:
-            self.stats.drip_seconds += drip
-        return drip
-
-    def fetch_sync(self, request: Request, now: float) -> Response:
-        """Blocking fetch — the engine's ``origin_fetch`` (worker threads)."""
-        action = self._plan_action(request)
-        delay = self._draw_delay() + action.pre_delay
-        if delay:
-            time.sleep(delay)
-        response = self._complete(request, now, delay, action)
-        drip = self._drip_delay(action, response)
-        if drip:
-            time.sleep(drip)
-        return response
-
     async def fetch(self, request: Request, now: float) -> Response:
-        """Awaitable fetch for loop-side callers."""
-        action = self._plan_action(request)
-        delay = self._draw_delay() + action.pre_delay
-        if delay:
-            await asyncio.sleep(delay)
-        response = self._complete(request, now, delay, action)
-        drip = self._drip_delay(action, response)
-        if drip:
-            await asyncio.sleep(drip)
+        """One origin fetch, with the plan's faults injected."""
+        plan = self.fault_plan
+        action = plan.decide(request) if plan is not None else FaultAction()
+        if action.pre_delay:
+            await self._sleep(action.pre_delay)
+        response = self._complete(request, now, action)
+        if action.drip_bps and response.body:
+            drip = len(response.body) / action.drip_bps
+            with self._lock:
+                self.stats.drip_seconds += drip
+            await self._sleep(drip)
         return response

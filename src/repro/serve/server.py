@@ -55,6 +55,7 @@ from repro.http.messages import (
     Request,
     Response,
 )
+from repro.http.sync import blocking_sleep, run_sync
 from repro.metrics import MetricsRegistry, family_lines, stats_dict, stats_lines
 from repro.origin.server import OriginServer
 from repro.origin.site import SyntheticSite
@@ -181,12 +182,8 @@ class DeltaHTTPServer(ServerShell):
             self.router.note_local(request)
         try:
             if self.mode == "plain":
-                fetch = (
-                    self.resilience.fetch_sync
-                    if self.resilience is not None
-                    else self.gateway.fetch_sync
-                )
-                response = await self._executor.run(fetch, request, now)
+                fetch = (self.resilience or self.gateway).fetch
+                response = await self._executor.run(run_sync, fetch(request, now))
             else:
                 assert self.engine is not None
                 response = await self._executor.run(
@@ -306,8 +303,6 @@ def build_server(
     *,
     mode: str = "delta",
     config: DeltaServerConfig | None = None,
-    origin_latency: float = 0.0,
-    origin_jitter: float = 0.0,
     fault_hook: FaultHook | None = None,
     fault_plan: FaultPlan | None = None,
     resilience: ResilienceConfig | None = None,
@@ -337,11 +332,7 @@ def build_server(
     site_list = list(sites)
     origin = OriginServer(site_list)
     gateway = OriginGateway(
-        origin,
-        latency=origin_latency,
-        jitter=origin_jitter,
-        fault_hook=fault_hook,
-        fault_plan=fault_plan,
+        origin, fault_hook=fault_hook, fault_plan=fault_plan, sleep=blocking_sleep
     )
     # One registry across the stack: engine stage timings, resilience
     # attempt/backoff histograms, and serve-layer write timings all land
@@ -349,11 +340,12 @@ def build_server(
     registry = MetricsRegistry()
     resilience_config = resilience or ResilienceConfig()
     resilient = (
-        ResilientOrigin(gateway.fetch_sync, resilience_config, metrics=registry)
+        ResilientOrigin(
+            gateway.fetch, resilience_config, sleep=blocking_sleep, metrics=registry
+        )
         if resilience_config.enabled
         else None
     )
-    origin_fetch = resilient.fetch_sync if resilient is not None else gateway.fetch_sync
     engine = None
     router = None
     if mode == "delta":
@@ -372,7 +364,7 @@ def build_server(
                 metrics=registry,
             )
         engine = DeltaServer(
-            origin_fetch, config, rulebook, metrics=registry,
+            (resilient or gateway).fetch, config, rulebook, metrics=registry,
             store=store,
             # Fleet workers mint ids under w<k>- so base-file URLs route
             # back to the worker that owns the class (and its shard).

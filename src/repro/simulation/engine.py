@@ -97,7 +97,7 @@ class Simulation:
             rulebook = RuleBook()
             for site in sites:
                 rulebook.add_rule(site.spec.name, site.hint_rule_pattern())
-        self.server = DeltaServer(self.origin.handle, self.config.delta, rulebook)
+        self.server = DeltaServer(self.origin.fetch, self.config.delta, rulebook)
         self.proxy = (
             ProxyCache(self.server.handle, self.config.proxy_capacity_bytes)
             if self.config.proxy_enabled

@@ -21,7 +21,7 @@ def stack():
     config = DeltaServerConfig(
         anonymization=AnonymizationConfig(enabled=True, documents=2, min_count=1)
     )
-    server = DeltaServer(origin.handle, config, rulebook)
+    server = DeltaServer(origin.fetch, config, rulebook)
     return site, origin, server
 
 

@@ -38,7 +38,7 @@ def stack():
     config = DeltaServerConfig(
         anonymization=AnonymizationConfig(enabled=True, documents=2, min_count=1),
     )
-    server = DeltaServer(origin.handle, config, rulebook)
+    server = DeltaServer(origin.fetch, config, rulebook)
     return site, origin, server
 
 
@@ -211,7 +211,7 @@ class TestPassthrough:
         assert server.stats.passthrough == 1
 
     def test_tiny_documents_passed_through(self):
-        def tiny_origin(request, now):
+        async def tiny_origin(request, now):
             return Response(status=200, body=b"ok")
 
         server = DeltaServer(tiny_origin)
@@ -312,7 +312,7 @@ class TestCollectorFootprint:
         rulebook = RuleBook()
         rulebook.add_rule(site.spec.name, site.hint_rule_pattern())
         server = DeltaServer(
-            OriginServer([site]).handle,
+            OriginServer([site]).fetch,
             DeltaServerConfig(
                 anonymization=AnonymizationConfig(
                     enabled=True, documents=2, min_count=1

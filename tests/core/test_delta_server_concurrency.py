@@ -34,7 +34,7 @@ def build_stack():
     config = DeltaServerConfig(
         anonymization=AnonymizationConfig(enabled=True, documents=2, min_count=1)
     )
-    return site, origin, DeltaServer(origin.handle, config, rulebook)
+    return site, origin, DeltaServer(origin.fetch, config, rulebook)
 
 
 def req(url: str, user: str, accept: str | None = None) -> Request:
@@ -145,7 +145,7 @@ def build_mixed_stack(mode: str):
     for site in sites:
         rulebook.add_rule(site.spec.name, site.hint_rule_pattern())
 
-    def fetch(request: Request, now: float):
+    async def fetch(request: Request, now: float):
         # Deterministic outage injection: the trace marks which requests
         # find the origin down, identically in every mode/interleaving.
         if request.headers.get(FAIL_HEADER) == "1":

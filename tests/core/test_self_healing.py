@@ -6,6 +6,7 @@ from repro.core.config import AnonymizationConfig, DeltaServerConfig
 from repro.core.delta_server import DeltaServer
 from repro.delta.codec import checksum
 from repro.http.messages import HEADER_ACCEPT_DELTA, Request, base_ref
+from repro.http.sync import run_sync
 from repro.origin.server import OriginServer
 from repro.origin.site import SiteSpec, SyntheticSite
 from repro.resilience.policy import OriginUnavailable
@@ -21,7 +22,7 @@ def stack():
     config = DeltaServerConfig(
         anonymization=AnonymizationConfig(enabled=True, documents=2, min_count=1),
     )
-    server = DeltaServer(origin.handle, config, rulebook)
+    server = DeltaServer(origin.fetch, config, rulebook)
     return site, origin, server
 
 
@@ -172,11 +173,10 @@ class TestDegradation:
         cls = server.class_of(url)
         expected_body = cls.distributable_base
 
-        def down(request, now):
+        async def down(request, now):
             raise OriginUnavailable("circuit open", breaker_state="open")
 
-        server._origin_fetch = down
-        response = server.handle(req(url, "u9"), now=10.0)
+        response = run_sync(server.serve(req(url, "u9"), 10.0, down))
         assert response.status == 200
         assert response.body == expected_body
         assert response.degraded == "stale-base"
@@ -187,12 +187,11 @@ class TestDegradation:
         site, _, server = stack
         url = site.url_for(site.all_pages()[0])
 
-        def down(request, now):
+        async def down(request, now):
             raise OriginUnavailable("retries exhausted")
 
-        server._origin_fetch = down
         # Never-seen URL: no class, nothing to degrade to.
-        response = server.handle(req(url, "u1"), now=0.0)
+        response = run_sync(server.serve(req(url, "u1"), 0.0, down))
         assert response.status == 502
         assert response.degraded == "origin-unavailable"
         assert server.stats.origin_unavailable == 1
@@ -205,9 +204,8 @@ class TestDegradation:
         corrupt_base(cls)
         server.handle(req(url, "u9", accept=ref), now=10.0)  # quarantines
 
-        def down(request, now):
+        async def down(request, now):
             raise OriginUnavailable("circuit open")
 
-        server._origin_fetch = down
-        response = server.handle(req(url, "u10"), now=11.0)
+        response = run_sync(server.serve(req(url, "u10"), 11.0, down))
         assert response.status == 502  # quarantined: no stale base on offer

@@ -40,7 +40,7 @@ def doc(tag: str) -> bytes:
 def make_engine(commit_retries: int = 1) -> DeltaServer:
     documents: dict[str, bytes] = {"current": doc("v0")}
 
-    def fetch(request: Request, now: float):
+    async def fetch(request: Request, now: float):
         from repro.http.messages import Response
 
         return Response(status=200, body=documents["current"])
@@ -215,7 +215,7 @@ class TestSerializedParity:
             config = DeltaServerConfig(
                 anonymization=AnonymizationConfig(enabled=True, documents=2, min_count=1),
             )
-            engine = DeltaServer(origin.handle, config, rulebook)
+            engine = DeltaServer(origin.fetch, config, rulebook)
             lock = (
                 threading.Lock() if mode == "serialized" else contextlib.nullcontext()
             )

@@ -102,7 +102,7 @@ class TestServerIntegration:
             anonymization=AnonymizationConfig(enabled=False),
             storage_budget_bytes=budget,
         )
-        return site, origin, DeltaServer(origin.handle, config, rulebook)
+        return site, origin, DeltaServer(origin.fetch, config, rulebook)
 
     def test_budget_respected_and_service_continues(self):
         # budget fits roughly 2 base-files; the site has 6 pages

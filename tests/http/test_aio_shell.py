@@ -22,6 +22,7 @@ from repro.fleet import FleetConfig, FleetSupervisor
 from repro.http.messages import Request, Response
 from repro.origin.site import SiteSpec, SyntheticSite
 from repro.proxy import ProxyHTTPServer
+from repro.resilience.faults import FaultPlan, FaultRule
 from repro.serve import (
     build_server,
     read_request,
@@ -100,7 +101,11 @@ async def boot(kind: str, tmp_path, *, slow: float = 0.0, **knobs):
     """Boot ``kind`` through its public constructor; ``slow`` delays its
     backend (origin render / upstream answer) by that many seconds."""
     if kind == "delta-server":
-        server = build_server([make_site()], origin_latency=slow, **knobs)
+        server = build_server(
+            [make_site()],
+            fault_plan=FaultPlan([FaultRule(kind="latency", delay=slow)]),
+            **knobs,
+        )
         async with server:
             yield Tier(
                 server.address, server, server.close, page_url(), 200,

@@ -144,7 +144,7 @@ class TestContentDrift:
 
         generation = {"value": 0}
 
-        def shifting_origin(request: Request, now: float) -> Response:
+        async def shifting_origin(request: Request, now: float) -> Response:
             # Each generation is fresh prose: nothing to copy across the shift.
             rng = rng_for("drift", generation["value"])
             body = (

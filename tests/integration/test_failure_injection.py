@@ -26,7 +26,7 @@ def stack():
     config = DeltaServerConfig(
         anonymization=AnonymizationConfig(enabled=True, documents=2, min_count=1)
     )
-    server = DeltaServer(origin.handle, config, rulebook)
+    server = DeltaServer(origin.fetch, config, rulebook)
     return site, origin, server
 
 
@@ -155,7 +155,7 @@ class TestOriginErrors:
         url = site.url_for(site.all_pages()[0])
         warm(site, server, url)
 
-        def flaky_origin(request: Request, now: float) -> Response:
+        async def flaky_origin(request: Request, now: float) -> Response:
             return Response(status=500, body=b"internal error")
 
         flaky_server = DeltaServer(

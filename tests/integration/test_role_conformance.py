@@ -1,11 +1,12 @@
 """One suite per Fig. 2 role, run against both of its drivers.
 
-The client protocol (:class:`repro.client.protocol.ClientProtocol`) and
-the proxy policy (:class:`repro.proxy.proxy.ProxyPolicy`) are each
-written once and driven twice — synchronously by the simulation,
-over asyncio sockets by the live tiers.  Every scenario here runs
-against both drivers and must read the same, so a behaviour can never
-again exist in one tier only.
+The client protocol (:class:`repro.client.protocol.ClientProtocol`), the
+proxy policy (:class:`repro.proxy.proxy.ProxyPolicy`) and the delta
+engine (:meth:`repro.core.delta_server.DeltaServer.serve`) are each
+written once and driven twice — synchronously (the simulation, or the
+serve tier's executor threads), and awaited on an event loop.  Every
+scenario here runs against both drivers and must read the same, so a
+behaviour can never again exist in one tier only.
 """
 
 import asyncio
@@ -18,11 +19,18 @@ from repro.client.browser import DeltaClient, DocumentUnavailable
 from repro.core.config import AnonymizationConfig, DeltaServerConfig
 from repro.core.delta_server import DeltaServer
 from repro.http.cookies import CookieJar
-from repro.http.messages import HEADER_IF_NONE_MATCH, Request, Response
+from repro.http.messages import (
+    HEADER_ACCEPT_DELTA,
+    HEADER_IF_NONE_MATCH,
+    Request,
+    Response,
+)
+from repro.http.sync import blocking_sleep
 from repro.metrics import stats_dict
 from repro.origin.server import OriginServer
 from repro.origin.site import SiteSpec, SyntheticSite
 from repro.proxy import HEADER_PROXY_CACHE, ProxyCache, ProxyHTTPServer
+from repro.resilience.faults import FaultPlan, FaultRule
 from repro.serve import (
     HEADER_BODY_DIGEST,
     LoadGenConfig,
@@ -33,6 +41,7 @@ from repro.serve import (
     serialize_request,
 )
 from repro.serve.aio import ServerShell
+from repro.serve.gateway import OriginGateway
 from repro.url.rules import RuleBook
 from repro.workload.trace import Trace, TraceRecord
 
@@ -72,7 +81,7 @@ class SyncClientDriver:
         self.origin = OriginServer([site])
         rulebook = RuleBook()
         rulebook.add_rule(SITE, site.hint_rule_pattern())
-        self.engine = DeltaServer(self.origin.handle, engine_config(), rulebook)
+        self.engine = DeltaServer(self.origin.fetch, engine_config(), rulebook)
         self.client = DeltaClient(self.engine.handle, CookieJar(cookies={"uid": USER}))
         self.protocol = self.client.protocol
         self.url = site.url_for(site.all_pages()[0])
@@ -206,6 +215,104 @@ def test_client_role(scenario, driver_kind):
             await scenario(driver)
 
     asyncio.run(main())
+
+
+# -- the engine role -----------------------------------------------------------
+
+#: every fetch waits; the slow page waits longer, so when two fetches are
+#: in flight at once the fast one always finishes — and is processed — first
+SLOW_PAGE = 2
+
+
+def engine_rounds(pages: list[str]) -> list[list[tuple[str, str]]]:
+    """The request script: rounds of ``(user, url)``; a pair is concurrent."""
+    fast, slow = pages[0], pages[SLOW_PAGE]
+    return [
+        [("u1", fast)],
+        [("u2", fast), ("u1", slow)],
+        [("u1", DeltaServer.base_file_url(SITE, "cls1", 1))],
+        [("u1", fast)],
+        [("u3", fast), ("u2", slow)],
+        [("u1", slow)],
+        [("u2", fast), ("u3", slow)],
+        [("u1", f"{SITE}/no/such/page")],
+        [("u3", fast)],
+    ]
+
+
+class EngineRun:
+    """One scripted origin behind a gateway, an engine, and a client model
+    that advertises the base it holds and follows ``X-Delta-Base``."""
+
+    def __init__(self, sleep) -> None:
+        site = make_site()
+        self.pages = [site.url_for(page) for page in site.all_pages()]
+        plan = FaultPlan(
+            [
+                FaultRule(kind="latency", delay=0.002),
+                FaultRule(kind="latency", delay=0.02, match=self.pages[SLOW_PAGE]),
+            ]
+        )
+        self.gateway = OriginGateway(OriginServer([site]), fault_plan=plan, sleep=sleep)
+        rulebook = RuleBook()
+        rulebook.add_rule(SITE, site.hint_rule_pattern())
+        self.engine = DeltaServer(self.gateway.fetch, engine_config(), rulebook)
+        self.refs: dict[tuple[str, str], str] = {}
+        self.seen: list[tuple] = []
+
+    def request(self, user: str, url: str) -> Request:
+        request = Request(url=url, cookies={"uid": user}, client_id=user)
+        ref = self.refs.get((user, url))
+        if ref is not None:
+            request.headers.set(HEADER_ACCEPT_DELTA, ref)
+        return request
+
+    def observe(self, user: str, url: str, response: Response) -> None:
+        # X-Delta and X-Delta-Base
+        refs = (response.delta_base_ref, response.base_file_ref)
+        self.seen.append((user, url, response.status, response.body, refs))
+        if response.base_file_ref is not None:
+            self.refs[(user, url)] = response.base_file_ref
+
+    def result(self) -> tuple[list[tuple], dict]:
+        return self.seen, stats_dict(self.engine.stats)
+
+
+def run_engine_sync() -> tuple[list[tuple], dict]:
+    """``engine.handle``: ``run_sync`` over a gateway that blocks to wait."""
+    run = EngineRun(blocking_sleep)
+    for now, batch in enumerate(engine_rounds(run.pages)):
+        requests = [run.request(user, url) for user, url in batch]
+        for (user, url), request in zip(batch, requests):
+            run.observe(user, url, run.engine.handle(request, float(now)))
+    return run.result()
+
+
+def run_engine_async() -> tuple[list[tuple], dict]:
+    """``await engine.serve`` on a loop; a pair of requests is in flight at once."""
+
+    async def main():
+        run = EngineRun(asyncio.sleep)
+        for now, batch in enumerate(engine_rounds(run.pages)):
+            requests = [run.request(user, url) for user, url in batch]
+            responses = await asyncio.gather(
+                *(run.engine.serve(r, float(now), run.gateway.fetch) for r in requests)
+            )
+            for (user, url), response in zip(batch, responses):
+                run.observe(user, url, response)
+        return run.result()
+
+    return asyncio.run(main())
+
+
+def test_engine_role():
+    seen, stats = run_engine_sync()
+    # The script exercises what it is meant to: full answers advertising a
+    # base, deltas against it, a base-file, and a passthrough.
+    assert stats["deltas_served"] >= 3 and stats["full_served"] >= 3
+    assert stats["base_files_served"] == 1 and stats["passthrough"] == 1
+    # Same statuses, bodies, X-Delta / X-Delta-Base, and ServerStats.
+    assert run_engine_async() == (seen, stats)
 
 
 # -- the proxy role ------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Tests for the origin resilience policy (repro.resilience.policy)."""
 
+import asyncio
+
 import pytest
 
 from repro.http.messages import Request, Response
-from repro.resilience.breaker import CLOSED, OPEN, CircuitBreaker
+from repro.http.sync import run_sync
+from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.resilience.policy import (
     OriginUnavailable,
     ResilienceConfig,
@@ -35,7 +38,7 @@ class ScriptedOrigin:
         self.calls = 0
         self.seen_now: list[float] = []
 
-    def __call__(self, request: Request, now: float) -> Response:
+    async def __call__(self, request: Request, now: float) -> Response:
         self.calls += 1
         self.seen_now.append(now)
         outcome = self.outcomes.pop(0) if len(self.outcomes) > 1 else self.outcomes[0]
@@ -63,7 +66,7 @@ def make(origin, clock=None, *, sleeps=None, **overrides) -> ResilientOrigin:
     config = ResilienceConfig(**knobs)
     clock = clock or FakeClock()
 
-    def sleep(pause: float) -> None:
+    async def sleep(pause: float) -> None:
         if sleeps is not None:
             sleeps.append(pause)
         clock.advance(pause)
@@ -90,7 +93,7 @@ class TestRetries:
     def test_clean_fetch_passes_through(self):
         origin = ScriptedOrigin(OK)
         policy = make(origin)
-        assert policy.fetch_sync(req(), 1.0).body == b"fresh"
+        assert run_sync(policy.fetch(req(), 1.0)).body == b"fresh"
         assert origin.calls == 1
         assert policy.stats.retries == 0
 
@@ -98,7 +101,7 @@ class TestRetries:
         origin = ScriptedOrigin(ERR, ConnectionError("reset"), OK)
         sleeps = []
         policy = make(origin, sleeps=sleeps)
-        response = policy.fetch_sync(req(), 1.0)
+        response = run_sync(policy.fetch(req(), 1.0))
         assert response.status == 200
         assert origin.calls == 3
         assert policy.stats.retries == 2
@@ -112,20 +115,20 @@ class TestRetries:
         # min_calls high enough that four straight failures don't trip the
         # breaker mid-retry (that behavior has its own test below).
         policy = make(origin, retries=4, sleeps=sleeps, breaker_min_calls=8)
-        policy.fetch_sync(req(), 1.0)
+        run_sync(policy.fetch(req(), 1.0))
         assert sleeps == [0.1, 0.2, 0.4, 0.4]  # capped at backoff_cap
 
     def test_same_now_on_every_attempt(self):
         origin = ScriptedOrigin(ERR, OK)
         policy = make(origin)
-        policy.fetch_sync(req(), 42.5)
+        run_sync(policy.fetch(req(), 42.5))
         assert origin.seen_now == [42.5, 42.5]
 
     def test_exhaustion_raises_with_context(self):
         origin = ScriptedOrigin(ERR)
         policy = make(origin, retries=2)
         with pytest.raises(OriginUnavailable) as excinfo:
-            policy.fetch_sync(req(), 1.0)
+            run_sync(policy.fetch(req(), 1.0))
         assert excinfo.value.reason == "retries exhausted"
         assert excinfo.value.attempts == 3
         assert excinfo.value.last_status == 500
@@ -137,14 +140,14 @@ class TestRetries:
         origin = ScriptedOrigin(reset)
         policy = make(origin, retries=1)
         with pytest.raises(OriginUnavailable) as excinfo:
-            policy.fetch_sync(req(), 1.0)
+            run_sync(policy.fetch(req(), 1.0))
         assert excinfo.value.last_status is None
         assert excinfo.value.__cause__ is reset
 
     def test_non_5xx_is_not_a_failure(self):
         origin = ScriptedOrigin(Response(status=404, body=b"nope"))
         policy = make(origin)
-        assert policy.fetch_sync(req(), 1.0).status == 404
+        assert run_sync(policy.fetch(req(), 1.0)).status == 404
         assert origin.calls == 1
         assert policy.breaker.failure_rate() == 0.0
 
@@ -155,7 +158,7 @@ class TestDeadline:
         origin = ScriptedOrigin(ERR)
         policy = make(origin, clock, retries=50, deadline=0.25)
         with pytest.raises(OriginUnavailable) as excinfo:
-            policy.fetch_sync(req(), 1.0)
+            run_sync(policy.fetch(req(), 1.0))
         assert excinfo.value.reason == "deadline budget exhausted"
         assert policy.stats.deadline_exhausted == 1
         # 0.1 spent sleeping; the next 0.2 pause would cross 0.25.
@@ -168,11 +171,11 @@ class TestBreaker:
         policy = make(origin, retries=0)
         for _ in range(4):  # breaker_min_calls=4, all failures
             with pytest.raises(OriginUnavailable):
-                policy.fetch_sync(req(), 1.0)
+                run_sync(policy.fetch(req(), 1.0))
         assert policy.breaker.state == OPEN
         calls_before = origin.calls
         with pytest.raises(OriginUnavailable) as excinfo:
-            policy.fetch_sync(req(), 1.0)
+            run_sync(policy.fetch(req(), 1.0))
         assert excinfo.value.reason == "circuit open"
         assert origin.calls == calls_before  # origin never touched
         assert policy.stats.fast_fails == 1
@@ -183,11 +186,11 @@ class TestBreaker:
         policy = make(origin, clock, retries=0)
         for _ in range(4):
             with pytest.raises(OriginUnavailable):
-                policy.fetch_sync(req(), 1.0)
+                run_sync(policy.fetch(req(), 1.0))
         assert policy.breaker.state == OPEN
         clock.advance(2.0)  # cooldown elapses -> half-open probes
-        assert policy.fetch_sync(req(), 1.0).status == 200
-        assert policy.fetch_sync(req(), 1.0).status == 200
+        assert run_sync(policy.fetch(req(), 1.0)).status == 200
+        assert run_sync(policy.fetch(req(), 1.0)).status == 200
         assert policy.breaker.state == CLOSED
         assert policy.breaker.stats.reclosed == 1
 
@@ -199,10 +202,72 @@ class TestBreaker:
         assert policy.breaker is breaker
 
 
+class HangingOrigin:
+    """Fails, then hangs (or gives up on its own), then recovers."""
+
+    def __init__(self) -> None:
+        self.mode = "fail"
+
+    async def __call__(self, request: Request, now: float) -> Response:
+        if self.mode == "fail":
+            return ERR
+        if self.mode == "hang":
+            await asyncio.sleep(60)
+        if self.mode == "unavailable":
+            raise OriginUnavailable("inner policy gave up")
+        return OK
+
+
+class TestAbandonedProbes:
+    """A half-open probe that records no outcome hands its slot back."""
+
+    @staticmethod
+    async def half_open(origin: HangingOrigin, clock: FakeClock) -> ResilientOrigin:
+        policy = make(origin, clock, retries=0)
+        for _ in range(4):
+            with pytest.raises(OriginUnavailable):
+                await policy.fetch(req(), 1.0)
+        clock.advance(2.0)
+        assert policy.breaker.state == HALF_OPEN
+        return policy
+
+    @staticmethod
+    async def recovers(policy: ResilientOrigin, origin: HangingOrigin) -> None:
+        origin.mode = "ok"
+        for _ in range(policy.breaker.probes):
+            assert (await policy.fetch(req(), 1.0)).status == 200
+        assert policy.breaker.state == CLOSED
+
+    def test_cancelled_probes_do_not_wedge_the_breaker(self):
+        async def main():
+            origin, clock = HangingOrigin(), FakeClock()
+            policy = await self.half_open(origin, clock)
+            origin.mode = "hang"
+            for _ in range(policy.breaker.probes):
+                # What the serve shell's request timeout does to a handler.
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(policy.fetch(req(), 1.0), 0.01)
+            await self.recovers(policy, origin)
+
+        asyncio.run(main())
+
+    def test_inner_unavailable_probes_do_not_wedge_the_breaker(self):
+        async def main():
+            origin, clock = HangingOrigin(), FakeClock()
+            policy = await self.half_open(origin, clock)
+            origin.mode = "unavailable"
+            for _ in range(policy.breaker.probes):
+                with pytest.raises(OriginUnavailable):
+                    await policy.fetch(req(), 1.0)
+            await self.recovers(policy, origin)
+
+        asyncio.run(main())
+
+
 class TestSnapshot:
     def test_snapshot_shape(self):
         policy = make(ScriptedOrigin(OK))
-        policy.fetch_sync(req(), 1.0)
+        run_sync(policy.fetch(req(), 1.0))
         snap = policy.snapshot()
         assert snap["policy"]["calls"] == 1
         assert snap["breaker"]["state"] == CLOSED

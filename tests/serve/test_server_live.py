@@ -21,6 +21,7 @@ from repro.http.messages import (
 )
 from repro.origin.server import OriginServer
 from repro.origin.site import SiteSpec, SyntheticSite
+from repro.resilience.faults import FaultPlan, FaultRule
 from repro.serve import (
     HEADER_BODY_DIGEST,
     HEADER_SERVED_AT,
@@ -248,7 +249,8 @@ class TestCapacityBehaviour:
     def test_slow_dispatch_times_out_504(self):
         async def main():
             async with make_server(
-                origin_latency=0.5, request_timeout=0.05
+                fault_plan=FaultPlan([FaultRule(kind="latency", delay=0.5)]),
+                request_timeout=0.05,
             ) as server:
                 client = Client(*server.address)
                 try:
@@ -269,7 +271,10 @@ class TestCapacityBehaviour:
         property under test here."""
 
         async def main():
-            async with make_server(origin_latency=0.2, mode="plain") as server:
+            async with make_server(
+                fault_plan=FaultPlan([FaultRule(kind="latency", delay=0.2)]),
+                mode="plain",
+            ) as server:
                 url = page_url(server)
                 loop = asyncio.get_running_loop()
                 started = loop.time()

@@ -21,7 +21,7 @@ class ScriptedOrigin:
     def __init__(self):
         self.docs: dict[str, bytes] = {}
 
-    def __call__(self, request: Request, now: float) -> Response:
+    async def __call__(self, request: Request, now: float) -> Response:
         return Response(status=200, body=self.docs[request.url])
 
 

@@ -17,7 +17,7 @@ class ScriptedOrigin:
         self.docs: dict[str, bytes] = {}
         self.fetches = 0
 
-    def __call__(self, request: Request, now: float) -> Response:
+    async def __call__(self, request: Request, now: float) -> Response:
         self.fetches += 1
         return Response(status=200, body=self.docs[request.url])
 
