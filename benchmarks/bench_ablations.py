@@ -164,6 +164,7 @@ def bench_ablation_popularity_split(benchmark):
     def run_split(popular_fraction: float):
         from repro.core.grouping import Grouper
         from repro.core.classes import DocumentClass
+        from repro.core.sketch import MinHashSketcher
         from repro.core.base_file import FirstResponsePolicy
         from repro.url.rules import RuleBook
         from repro.delta.vdelta import VdeltaEncoder
@@ -190,6 +191,7 @@ def bench_ablation_popularity_split(benchmark):
             rulebook=RuleBook(),
             estimator=estimator,
             class_factory=factory,
+            sketcher=MinHashSketcher(),
             seed=11,
         )
         from repro.workload import ZipfSampler

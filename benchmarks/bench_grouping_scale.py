@@ -11,9 +11,10 @@ This benchmark replays an identical synthetic workload — ``--urls``
 distinct URLs over two servers, each URL's document drawn from a family
 that shares a page skeleton, a configurable fraction of URLs wearing
 session-style (unique, useless) hints — through two groupers that differ
-only in ``GroupingConfig.policy``:
+only in the ``sketcher`` they are built with:
 
-* ``scan`` — the paper's literal procedure (the parity baseline);
+* ``scan`` — ``sketcher=None``, the paper's literal procedure (the parity
+  reference, built only here and in tests);
 * ``sketch`` — the MinHash/LSH candidate index (:mod:`repro.core.sketch`)
   narrows the candidate set in O(1) before any light estimate runs.
 
@@ -49,6 +50,7 @@ from repro.core.base_file import FirstResponsePolicy
 from repro.core.classes import DocumentClass
 from repro.core.config import AnonymizationConfig, GroupingConfig
 from repro.core.grouping import Grouper
+from repro.core.sketch import MinHashSketcher
 from repro.delta.light import LightEstimator
 from repro.delta.vdelta import VdeltaEncoder
 from repro.url.rules import RuleBook
@@ -115,10 +117,11 @@ def make_grouper(policy: str, estimator: LightEstimator) -> Grouper:
         )
 
     return Grouper(
-        config=GroupingConfig(policy=policy),
+        config=GroupingConfig(),
         rulebook=RuleBook(),
         estimator=estimator,
         class_factory=factory,
+        sketcher=MinHashSketcher() if policy == "sketch" else None,
         seed=2002,
     )
 

@@ -85,10 +85,11 @@ SECTIONS: list[tuple[str, str, list[str]]] = [
         "class when a URL's hint matches nothing, which is the scaling wall "
         "for session-heavy million-URL sites (each unmatched session URL "
         "pays an O(classes) search *and* mints a new singleton class).  The "
-        "MinHash/LSH candidate index (`repro.core.sketch`, "
-        "`GroupingConfig.policy=\"sketch\"`) sketches the request document "
-        "once and narrows candidates to near-duplicate bases in O(1); the "
-        "scan policy is kept as the parity baseline.  On the 100k-URL "
+        "MinHash/LSH candidate index (`repro.core.sketch`, what the engine's "
+        "grouper always runs) sketches the request document once and "
+        "narrows candidates to near-duplicate bases in O(1); the scan "
+        "(`Grouper(..., sketcher=None)`) is kept as the parity reference "
+        "this bench and the tests build.  On the 100k-URL "
         "two-server workload the sketch arm classifies an order of "
         "magnitude faster, keeps the class count at the family count "
         "instead of exploding with churn singletons, and *gains* delta "

@@ -376,7 +376,6 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         admin_port=args.admin_port,
-        accept_mode=args.accept_mode,
         # Outer patience: the worker's own graceful drain gets its full
         # budget before the supervisor escalates to SIGKILL.
         drain_grace=args.drain_timeout + 5.0,
@@ -707,10 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--admin-port", type=int, default=0,
                        help="fleet admin endpoint port (aggregated "
                             "/__health__ and /__metrics__; 0 = ephemeral)")
-    serve.add_argument("--accept-mode", default="auto",
-                       choices=["auto", "reuseport", "inherit"],
-                       help="fleet listener sharing: SO_REUSEPORT or a "
-                            "parent-held inherited socket (auto picks)")
     serve.add_argument("--control-file", default=None,
                        help="fleet control JSON path (default fleet.json; "
                             "the 'fleet' verbs read it)")

@@ -60,7 +60,7 @@ class EncodeCache:
     keeps it, and :meth:`DocumentClass.restore_base` — the engine's warm
     restart setting the persisted version — clears the cache).  A restart
     can re-mint a number a released class used before it (ROADMAP item
-    6(a)), but the cache starts empty in every process, so it never holds
+    1), but the cache starts empty in every process, so it never holds
     both.  The target checksum pins the document bytes; base bytes for a
     version are pinned by the promotion-time integrity checksum (corruption
     quarantines, which also clears).

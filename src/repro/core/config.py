@@ -17,6 +17,10 @@ from dataclasses import dataclass, field
 
 from repro.delta.codec import DEFAULT_MAX_TARGET_LENGTH
 
+#: Documents smaller than this are served directly; the delta machinery
+#: is not worth its overhead on tiny responses.
+MIN_DOCUMENT_BYTES = 256
+
 
 class EvictionVariant(enum.Enum):
     """Eviction options for the randomized base-file algorithm (Sec. IV fn. 3)."""
@@ -24,10 +28,6 @@ class EvictionVariant(enum.Enum):
     WORST = "worst"  # always evict the max-sum-of-deltas document
     PERIODIC_RANDOM = "periodic_random"  # periodically evict a random non-base
     TWO_SET = "two_set"  # candidate set + independent reference-sample set
-
-
-#: valid values for :attr:`GroupingConfig.policy`
-GROUPING_POLICIES = ("sketch", "scan")
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,21 +45,6 @@ class GroupingConfig:
     #: Stop at the first matching class (the paper's preferred option)
     #: instead of probing all ``max_tries`` and picking the best match.
     first_match: bool = True
-    #: Candidate selection: ``"sketch"`` consults the MinHash/LSH index
-    #: first and light-estimates only its (small) candidate set;
-    #: ``"scan"`` is Section III's literal procedure — every same-server
-    #: class is eligible when no same-hint class exists — kept as the
-    #: parity baseline (O(classes) per fresh-hint URL).
-    policy: str = "sketch"
-    #: Byte-shingle window hashed into the MinHash signature.
-    sketch_shingle_size: int = 16
-    #: Stride between shingle windows (overlap = size - step).
-    sketch_shingle_step: int = 8
-    #: LSH banding geometry: ``bands`` groups of ``rows`` signature slots.
-    #: Candidate recall for Jaccard similarity ``j`` is
-    #: ``1 - (1 - j^rows)^bands`` — 8×4 recalls j=0.9 with p~0.9998.
-    sketch_bands: int = 8
-    sketch_rows: int = 4
 
     def __post_init__(self) -> None:
         if not 0 < self.match_threshold <= 1:
@@ -68,23 +53,6 @@ class GroupingConfig:
             raise ValueError(f"max_tries must be >= 1, got {self.max_tries}")
         if not 0 <= self.popular_fraction <= 1:
             raise ValueError(f"popular_fraction must be in [0, 1], got {self.popular_fraction}")
-        if self.policy not in GROUPING_POLICIES:
-            raise ValueError(
-                f"policy must be one of {GROUPING_POLICIES}, got {self.policy!r}"
-            )
-        if self.sketch_shingle_size < 1:
-            raise ValueError(
-                f"sketch_shingle_size must be >= 1, got {self.sketch_shingle_size}"
-            )
-        if self.sketch_shingle_step < 1:
-            raise ValueError(
-                f"sketch_shingle_step must be >= 1, got {self.sketch_shingle_step}"
-            )
-        if self.sketch_bands < 1 or self.sketch_rows < 1:
-            raise ValueError(
-                "sketch_bands and sketch_rows must be >= 1, got "
-                f"{self.sketch_bands}x{self.sketch_rows}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,11 +124,6 @@ class DeltaServerConfig:
     grouping: GroupingConfig = field(default_factory=GroupingConfig)
     base_file: BaseFileConfig = field(default_factory=BaseFileConfig)
     anonymization: AnonymizationConfig = field(default_factory=AnonymizationConfig)
-    #: zlib level for compressing deltas ("deltas are compressed using gzip").
-    compression_level: int = 6
-    #: Documents smaller than this are served directly; the delta machinery
-    #: is not worth its overhead on tiny responses.
-    min_document_bytes: int = 256
     #: Documents larger than this are served directly too — it bounds what
     #: the engine will index/encode, and it is the decode-side
     #: ``max_target_length`` bound clients and proxies enforce against
@@ -172,17 +135,10 @@ class DeltaServerConfig:
     storage_budget_bytes: int | None = None
     #: Deterministic seed for all randomized components.
     seed: int = 2002
-    #: How many times a delta commit that lost a rebase race is retried
-    #: against the new base version before falling back to a full response.
-    commit_retries: int = 1
 
     def __post_init__(self) -> None:
-        if self.commit_retries < 0:
-            raise ValueError(
-                f"commit_retries must be >= 0, got {self.commit_retries}"
-            )
-        if self.max_document_bytes < self.min_document_bytes:
+        if self.max_document_bytes < MIN_DOCUMENT_BYTES:
             raise ValueError(
                 f"max_document_bytes ({self.max_document_bytes}) must be >= "
-                f"min_document_bytes ({self.min_document_bytes})"
+                f"MIN_DOCUMENT_BYTES ({MIN_DOCUMENT_BYTES})"
             )

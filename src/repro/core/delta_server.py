@@ -89,13 +89,15 @@ from time import perf_counter
 from typing import Iterator
 
 from repro.core.classes import DocumentClass
-from repro.core.config import DeltaServerConfig
+from repro.core.config import MIN_DOCUMENT_BYTES, DeltaServerConfig
 from repro.core.base_file import RandomizedPolicy
 from repro.core.counters import StripedCounters
 from repro.core.grouping import Grouper
 from repro.core.rebase import RebaseController
+from repro.core.sketch import MinHashSketcher
 from repro.core.storage import StorageManager
 from repro.delta.codec import checksum
+from repro.delta.compress import DEFAULT_LEVEL
 from repro.delta.light import LightEstimator
 from repro.delta.vdelta import BaseIndex, VdeltaEncoder
 from repro.http.messages import (
@@ -117,6 +119,10 @@ from repro.store.store import Store, StoreError, _class_sort
 from repro.url.rules import RuleBook
 
 BASE_FILE_SEGMENT = "__delta_base__"
+
+#: How many times a delta commit that lost a rebase race is retried against
+#: the new base version before falling back to a full response.
+COMMIT_RETRIES = 1
 
 
 def format_stage_times(timings: dict[str, float]) -> str:
@@ -244,6 +250,7 @@ class DeltaServer:
             config=self.config.grouping,
             rulebook=rulebook or RuleBook(),
             estimator=self._estimator,
+            sketcher=MinHashSketcher(),
             class_factory=self._new_class,
             seed=self.config.seed,
             store=store,
@@ -390,7 +397,7 @@ class DeltaServer:
         self._counters.inc("requests")
         if (
             origin_response.status != 200
-            or len(origin_response.body) < self.config.min_document_bytes
+            or len(origin_response.body) < MIN_DOCUMENT_BYTES
             or len(origin_response.body) > self.config.max_document_bytes
         ):
             # Out-of-bounds sizes pass straight through: tiny documents are
@@ -600,14 +607,14 @@ class DeltaServer:
         and its index are snapshotted under the class lock, the encode and
         compress run under *no* lock, and the commit revalidates the
         version.  A commit that lost a rebase/release race is retried
-        (``config.commit_retries`` times) against the fresh state; when
+        (:data:`COMMIT_RETRIES` times) against the fresh state; when
         retries run out — or the fresh state no longer admits a delta —
         the full document is served.  The loop can therefore never emit a
         delta referencing a base version that has been retired.
         """
         accepted = request.accepts_delta()
         conflicts = 0
-        for _attempt in range(1 + self.config.commit_retries):
+        for _attempt in range(1 + COMMIT_RETRIES):
             plan = self._plan_delta(cls, accepted, timings)
             if plan is None:
                 break
@@ -715,7 +722,7 @@ class DeltaServer:
         )
         compress_seconds = 0.0
         try:
-            compressor = zlib.compressobj(self.config.compression_level)
+            compressor = zlib.compressobj(DEFAULT_LEVEL)
             parts: list[bytes] = []
 
             def sink(chunk: bytearray) -> None:

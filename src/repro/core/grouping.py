@@ -26,15 +26,16 @@ Candidate selection — the sketch index
 The paper's procedure considers *every* same-server class when no
 same-hint class exists, and even the popular-first ordering is
 O(classes) per request — the scaling wall for million-URL corpora.
-Under the default ``policy="sketch"`` a MinHash/LSH index
-(:mod:`repro.core.sketch`) replaces that scan: the request document is
-sketched once (about the cost of one light estimate), the LSH lookup
-returns the classes whose *base content* is near-duplicate in O(1), and
-only that small candidate set is popularity-ordered and light-estimated
-as the confirming stage.  Heuristic 2 is preserved: when same-hint
+With a :class:`~repro.core.sketch.MinHashSketcher` (what the engine
+always passes) a MinHash/LSH index replaces that scan: the request
+document is sketched once (about the cost of one light estimate), the
+LSH lookup returns the classes whose *base content* is near-duplicate in
+O(1), and only that small candidate set is popularity-ordered and
+light-estimated as the confirming stage.  Heuristic 2 is preserved: when same-hint
 classes exist they stay the candidate pool (the sketch only narrows it
-when the pool exceeds the probe budget).  ``policy="scan"`` keeps the
-literal exhaustive procedure as a parity baseline.
+when the pool exceeds the probe budget).  ``sketcher=None`` keeps the
+literal exhaustive procedure; only tests and
+``benchmarks/bench_grouping_scale.py`` build it, as the parity reference.
 
 Manual grouping — "the administrator has the option to manually group URLs
 into classes" — is supported via regex pin rules checked before the
@@ -107,6 +108,7 @@ class Grouper:
         rulebook: RuleBook,
         estimator: LightEstimator,
         class_factory: Callable[[str, str], DocumentClass],
+        sketcher: MinHashSketcher | None,
         seed: int = 2002,
         store: Store | None = None,
         metrics: MetricsRegistry | None = None,
@@ -124,17 +126,10 @@ class Grouper:
         self._metrics = metrics
         self.stats = GroupingStats()
 
-        if config.policy == "sketch":
-            self._sketcher: MinHashSketcher | None = MinHashSketcher(
-                shingle_size=config.sketch_shingle_size,
-                shingle_step=config.sketch_shingle_step,
-                bands=config.sketch_bands,
-                rows=config.sketch_rows,
-            )
-            self._sketch_index: SketchIndex | None = SketchIndex(self._sketcher)
-        else:
-            self._sketcher = None
-            self._sketch_index = None
+        #: ``None`` is Section III's literal scan, the parity reference
+        #: tests and the grouping-scale bench compare the sketch against.
+        self._sketcher = sketcher
+        self._sketch_index = SketchIndex(sketcher) if sketcher is not None else None
 
         self._classes: dict[str, DocumentClass] = {}
         self._by_server: dict[str, list[DocumentClass]] = {}
@@ -310,8 +305,8 @@ class Grouper:
                     self.stats.manual += 1
                 return manual, False
 
-            # Sketch policy: one signature per searched document.  It
-            # drives candidate lookup and, when the search fails, becomes
+            # One signature per searched document.  It drives candidate
+            # lookup and, when the search fails, becomes
             # the new class's registered signature for free (the document
             # is adopted as that class's base).
             signature = (
@@ -376,7 +371,7 @@ class Grouper:
         cached signature is keyed by base object identity, so the common
         case is two attribute reads.  Returns the current signature (what
         the store should persist alongside the committed base), or None
-        under the scan policy / for a base-less class.
+        for the scan reference / a base-less class.
         """
         if self._sketch_index is None or self._sketcher is None:
             return None
@@ -452,7 +447,7 @@ class Grouper:
     def _sketch_eligible(
         self, parts: URLParts, signature: tuple[int, ...]
     ) -> list[DocumentClass]:
-        """Sketch-policy candidate selection (replaces the full scan).
+        """Sketch candidate selection (replaces the full scan).
 
         Same-hint pools no larger than the probe budget are returned
         whole — probing them all is already O(1), and it keeps heuristic

@@ -54,6 +54,8 @@ class MinHashSketcher:
 
     ``shingle_size``/``shingle_step`` control the byte windows hashed
     (overlap = size - step); ``bands × rows`` fixes the signature width.
+    The defaults are this build's one geometry: the engine's grouper and
+    ``repro store verify`` both construct ``MinHashSketcher()``.
     A sketcher is immutable and thread-safe — :meth:`signature` touches
     only locals.
     """

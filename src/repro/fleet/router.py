@@ -43,6 +43,11 @@ HEADER_FLEET_WORKER = "X-Fleet-Worker"
 #: request header marking an intra-fleet forward (value: origin worker id)
 HEADER_FLEET_FORWARDED = "X-Fleet-Forwarded"
 
+#: per-peer response deadline, seconds; beyond it the peer counts as down
+FORWARD_TIMEOUT = 10.0
+#: keep-alive connections kept per peer
+PEER_POOL_SIZE = 4
+
 
 @dataclass(slots=True)
 class FleetWorkerConfig:
@@ -55,10 +60,6 @@ class FleetWorkerConfig:
     peer_ports: tuple[int, ...]
     peer_host: str = "127.0.0.1"
     connect_timeout: float = 1.0
-    #: per-peer response deadline; beyond it the peer counts as down
-    forward_timeout: float = 10.0
-    #: keep-alive connections kept per peer
-    pool_size: int = 4
 
     def __post_init__(self) -> None:
         if not 0 <= self.worker_id < self.workers:
@@ -97,7 +98,7 @@ class FleetRouter:
             ConnectionPool(
                 config.peer_host,
                 port,
-                max_parked=config.pool_size,
+                max_parked=PEER_POOL_SIZE,
                 connect_timeout=config.connect_timeout,
             )
             for port in config.peer_ports
@@ -139,13 +140,13 @@ class FleetRouter:
 
         The pool retries once when a parked connection turns out dead (a
         peer that restarted since it was parked); a peer that refuses a
-        fresh connection, dies on one, or outlives ``forward_timeout`` is
+        fresh connection, dies on one, or outlives :data:`FORWARD_TIMEOUT` is
         declared unavailable.
         """
         request.headers.set(HEADER_FLEET_FORWARDED, str(self.worker_id))
         try:
             parsed = await self._peers[owner].exchange(
-                request, timeout=self.config.forward_timeout
+                request, timeout=FORWARD_TIMEOUT
             )
         except (PeerUnavailable, asyncio.TimeoutError) as exc:
             self.stats.forward_failures += 1

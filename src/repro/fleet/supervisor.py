@@ -51,10 +51,15 @@ ACCEPT_REUSEPORT = "reuseport"
 ACCEPT_INHERIT = "inherit"
 
 
-def pick_accept_mode(requested: str = "auto") -> str:
-    """Resolve the accept-sharing mode for this kernel."""
-    if requested in (ACCEPT_REUSEPORT, ACCEPT_INHERIT):
-        return requested
+#: uptime, seconds, after which a worker's restart backoff resets
+STABLE_AFTER = 3.0
+#: how long a spawned worker may take to answer its health probe, seconds
+READINESS_TIMEOUT = 30.0
+
+
+def pick_accept_mode() -> str:
+    """The accept-sharing mode this platform supports: SO_REUSEPORT where
+    the socket module has it, the inherited parent socket otherwise."""
     return ACCEPT_REUSEPORT if hasattr(socket, "SO_REUSEPORT") else ACCEPT_INHERIT
 
 
@@ -83,15 +88,11 @@ class FleetConfig:
     host: str = "127.0.0.1"
     port: int = 0
     admin_port: int = 0
-    accept_mode: str = "auto"
     #: per-worker graceful-drain budget before SIGKILL (worker-side close
     #: uses its own drain_timeout; this is the supervisor's outer patience)
     drain_grace: float = 10.0
     backoff_base: float = 0.1
     backoff_cap: float = 5.0
-    #: uptime after which a worker's restart backoff resets
-    stable_after: float = 3.0
-    readiness_timeout: float = 30.0
     state_dir: str | None = None
     control_file: str | None = None
     #: pass-through CLI flags appended to every worker's serve argv
@@ -141,7 +142,7 @@ class FleetSupervisor:
 
     def __init__(self, config: FleetConfig) -> None:
         self.config = config
-        self.accept_mode = pick_accept_mode(config.accept_mode)
+        self.accept_mode = pick_accept_mode()
         self.partition = (
             PartitionMap(config.workers, config.vnodes)
             if config.vnodes
@@ -220,7 +221,7 @@ class FleetSupervisor:
         ]
         await asyncio.wait_for(
             asyncio.gather(*(handle.ready.wait() for handle in self.handles)),
-            self.config.readiness_timeout,
+            READINESS_TIMEOUT,
         )
         self._write_control_file()
 
@@ -267,7 +268,7 @@ class FleetSupervisor:
                 # and respawns without backoff; wait for readiness so at
                 # most one worker is ever down.
                 await asyncio.wait_for(
-                    handle.ready.wait(), self.config.readiness_timeout
+                    handle.ready.wait(), READINESS_TIMEOUT
                 )
             self._write_control_file()
 
@@ -373,7 +374,7 @@ class FleetSupervisor:
     async def _wait_ready(self, handle: WorkerHandle) -> bool:
         """Poll the worker's internal health endpoint until it answers."""
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.readiness_timeout
+        deadline = loop.time() + READINESS_TIMEOUT
         while loop.time() < deadline:
             if not handle.alive:
                 return False
@@ -414,7 +415,7 @@ class FleetSupervisor:
                 self.stats.restarts += 1
                 continue
             handle.state = "restarting"
-            if uptime >= self.config.stable_after:
+            if uptime >= STABLE_AFTER:
                 backoff = self.config.backoff_base
             print(
                 f"[fleet] worker {handle.worker_id} exited rc={returncode} "

@@ -211,6 +211,15 @@ class ServerShell:
     ) -> None:
         if max_connections < 1:
             raise ValueError("max_connections must be >= 1")
+        # A zero request budget would answer every request 504.
+        for name, seconds in (
+            ("request_timeout", request_timeout),
+            ("idle_timeout", idle_timeout),
+        ):
+            if seconds <= 0:
+                raise ValueError(f"{name} must be > 0, got {seconds}")
+        if drain_timeout < 0:
+            raise ValueError(f"drain_timeout must be >= 0, got {drain_timeout}")
         self._handle = handle
         self._health = health
         self._metrics_lines = metrics_lines

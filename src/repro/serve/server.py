@@ -360,7 +360,9 @@ def build_server(
 
             store = Store.open(
                 state_dir,
-                snapshot_every=snapshot_every or DEFAULT_SNAPSHOT_EVERY,
+                snapshot_every=(
+                    DEFAULT_SNAPSHOT_EVERY if snapshot_every is None else snapshot_every
+                ),
                 metrics=registry,
             )
         engine = DeltaServer(

@@ -28,6 +28,9 @@ from repro.url.rules import RuleBook
 from repro.workload.generator import GeneratedWorkload
 from repro.workload.trace import Trace
 
+#: the simulated proxy's cache capacity
+PROXY_CAPACITY_BYTES = 256 * 1024 * 1024
+
 
 @dataclass(frozen=True, slots=True)
 class SimulationConfig:
@@ -35,12 +38,9 @@ class SimulationConfig:
 
     delta: DeltaServerConfig = field(default_factory=DeltaServerConfig)
     proxy_enabled: bool = True
-    proxy_capacity_bytes: int = 256 * 1024 * 1024
     client_link: LinkSpec = MODEM_56K
     #: verify every reconstructed document against a direct origin render
     verify: bool = True
-    #: model latency for direct vs delta transfers
-    track_latency: bool = True
 
 
 @dataclass(slots=True)
@@ -99,7 +99,7 @@ class Simulation:
                 rulebook.add_rule(site.spec.name, site.hint_rule_pattern())
         self.server = DeltaServer(self.origin.fetch, self.config.delta, rulebook)
         self.proxy = (
-            ProxyCache(self.server.handle, self.config.proxy_capacity_bytes)
+            ProxyCache(self.server.handle, PROXY_CAPACITY_BYTES)
             if self.config.proxy_enabled
             else None
         )
@@ -145,17 +145,16 @@ class Simulation:
                 direct = self._direct_render(record.user, record.url, record.timestamp)
                 if body != direct:
                     report.verify_failures += 1
-            if self.config.track_latency:
-                # What the user actually waited for: the document response
-                # plus any base-file fetch performed in-line.
-                transferred = (
-                    client.stats.document_bytes
-                    - before_doc
-                    + client.stats.base_file_bytes
-                    - before_base
-                )
-                report.latency_delta.record(transferred)
-                report.latency_direct.record(len(body))
+            # What the user actually waited for: the document response
+            # plus any base-file fetch performed in-line.
+            transferred = (
+                client.stats.document_bytes
+                - before_doc
+                + client.stats.base_file_bytes
+                - before_base
+            )
+            report.latency_delta.record(transferred)
+            report.latency_direct.record(len(body))
 
         self._fill_server_side(report)
         return report

@@ -67,6 +67,16 @@ class TestBasicFlow:
         assert not response.is_delta
         assert server.stats.full_served == 1
 
+    def test_grouper_sketches_every_class_base(self, stack):
+        """The engine's grouper always runs the MinHash/LSH index; the
+        literal scan is a reference only tests and benches build."""
+        site, _, server = stack
+        url = site.url_for(site.all_pages()[0])
+        server.handle(req(url, "u1"), now=0.0)
+        cls = server.class_of(url)
+        with cls.lock:
+            assert server.grouper.refresh_sketch(cls) is not None
+
     def test_delta_served_to_base_holder(self, stack):
         site, origin, server = stack
         url = site.url_for(site.all_pages()[0])

@@ -8,6 +8,7 @@ from repro.core.base_file import FirstResponsePolicy
 from repro.core.classes import DocumentClass
 from repro.core.config import AnonymizationConfig, GroupingConfig
 from repro.core.grouping import Grouper
+from repro.core.sketch import MinHashSketcher
 from repro.delta.light import LightEstimator
 from repro.delta.vdelta import VdeltaEncoder
 from repro.url.parts import URLParts
@@ -32,7 +33,11 @@ def family_page(family: int, item: int) -> bytes:
     return rpage(family, 3800) + rpage(family * 1000 + item, 200)
 
 
-def make_grouper(config: GroupingConfig | None = None, seed: int = 1) -> Grouper:
+def make_grouper(
+    config: GroupingConfig | None = None,
+    seed: int = 1,
+    sketcher: MinHashSketcher | None = MinHashSketcher(),
+) -> Grouper:
     estimator = LightEstimator()
     encoder = VdeltaEncoder()
     counter = iter(range(1, 10_000))
@@ -54,6 +59,7 @@ def make_grouper(config: GroupingConfig | None = None, seed: int = 1) -> Grouper
         rulebook=RuleBook(),
         estimator=estimator,
         class_factory=factory,
+        sketcher=sketcher,
         seed=seed,
     )
 
@@ -186,9 +192,6 @@ class TestStats:
 
 
 class TestSketchPolicy:
-    def test_default_policy_is_sketch(self):
-        assert GroupingConfig().policy == "sketch"
-
     def test_content_aware_match_without_hint(self):
         """A fresh-hint URL with near-duplicate content joins the class
         through the LSH index — the case the old same-server scan paid
@@ -213,7 +216,7 @@ class TestSketchPolicy:
         assert grouper.stats.sketch_misses >= 1
 
     def test_scan_policy_still_scans_same_server(self):
-        grouper = make_grouper(GroupingConfig(policy="scan"))
+        grouper = make_grouper(sketcher=None)
         first, _ = classify(grouper, "www.a.com/laptops?id=1", family_page(1, 1))
         cls, created = classify(
             grouper, "www.a.com/session-xyz/laptops?id=2", family_page(1, 2)

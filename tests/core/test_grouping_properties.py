@@ -22,12 +22,17 @@ from repro.core.base_file import FirstResponsePolicy
 from repro.core.classes import DocumentClass
 from repro.core.config import AnonymizationConfig, GroupingConfig
 from repro.core.grouping import Grouper
+from repro.core.sketch import MinHashSketcher
 from repro.delta.light import LightEstimator
 from repro.delta.vdelta import VdeltaEncoder
 from repro.url.rules import RuleBook
 
 
-def make_grouper(config: GroupingConfig | None = None, seed: int = 1) -> Grouper:
+def make_grouper(
+    config: GroupingConfig | None = None,
+    seed: int = 1,
+    sketcher: MinHashSketcher | None = MinHashSketcher(),
+) -> Grouper:
     estimator = LightEstimator()
     encoder = VdeltaEncoder()
     counter = iter(range(1, 100_000))
@@ -48,6 +53,7 @@ def make_grouper(config: GroupingConfig | None = None, seed: int = 1) -> Grouper
         rulebook=RuleBook(),
         estimator=estimator,
         class_factory=factory,
+        sketcher=sketcher,
         seed=seed,
     )
 
@@ -178,8 +184,8 @@ def test_sketch_and_scan_policies_agree(families, items, shuffle_seed):
     sequence = [(f, i) for f in range(families) for i in range(items)]
     random.Random(shuffle_seed).shuffle(sequence)
     outcomes = {}
-    for policy in ("sketch", "scan"):
-        grouper = make_grouper(GroupingConfig(policy=policy))
+    for policy, sketcher in (("sketch", MinHashSketcher()), ("scan", None)):
+        grouper = make_grouper(sketcher=sketcher)
         decisions = []
         for n, (family, item) in enumerate(sequence):
             url = f"www.x.com/sess-{n}/page?f={family}&i={item}"

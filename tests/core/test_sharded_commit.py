@@ -23,7 +23,7 @@ from repro.http.messages import (
     HEADER_DELTA_BASE,
     Request,
 )
-from repro.core.delta_server import DeltaServer
+from repro.core.delta_server import COMMIT_RETRIES, DeltaServer
 from repro.origin.server import OriginServer
 from repro.origin.site import SiteSpec, SyntheticSite
 from repro.url.rules import RuleBook
@@ -37,7 +37,7 @@ def doc(tag: str) -> bytes:
     )
 
 
-def make_engine(commit_retries: int = 1) -> DeltaServer:
+def make_engine() -> DeltaServer:
     documents: dict[str, bytes] = {"current": doc("v0")}
 
     async def fetch(request: Request, now: float):
@@ -47,7 +47,6 @@ def make_engine(commit_retries: int = 1) -> DeltaServer:
 
     config = DeltaServerConfig(
         anonymization=AnonymizationConfig(enabled=True, documents=2, min_count=1),
-        commit_retries=commit_retries,
     )
     engine = DeltaServer(fetch, config)
     engine._bench_documents = documents  # handle for tests to swap renders
@@ -164,22 +163,32 @@ class TestCommitConflict:
         assert engine.stats.commit_fallbacks == 1
 
     def test_retries_exhausted_falls_back_to_full(self):
-        """With commit_retries=0 a single conflict already means a full."""
-        engine = make_engine(commit_retries=0)
+        """A conflict on every one of the 1 + COMMIT_RETRIES attempts
+        means a full response."""
+        engine = make_engine()
         cls = warm(engine)
         old_ref = f"{cls.class_id}/{cls.version}"
 
-        race = _RacingEncoder(
-            engine, lambda: promote_new_generation(cls, doc("rebased"))
-        )
+        # A rebase lands after every snapshot — the retry's too, which may
+        # be an encode-cache hit and so never reach the encoder.
+        encode = engine._encode_delta
+        rebases = []
+
+        def racing_encode(*args):
+            rebases.append(f"rebased-{len(rebases)}")
+            promote_new_generation(cls, doc(rebases[-1]))
+            return encode(*args)
+
+        engine._encode_delta = racing_encode
 
         target = doc("v1")
         engine._bench_documents["current"] = target
         response = engine.handle(req("client", accept=old_ref), now=1.0)
 
+        assert len(rebases) == 1 + COMMIT_RETRIES
         assert HEADER_DELTA not in response.headers
         assert response.body == target
-        assert engine.stats.commit_conflicts == 1
+        assert engine.stats.commit_conflicts == 1 + COMMIT_RETRIES
         assert engine.stats.commit_fallbacks == 1
         # The fallback still advertises the (new) current base.
         assert (

@@ -13,6 +13,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import sys
 from pathlib import Path
 
@@ -20,7 +21,6 @@ import pytest
 
 from repro.fleet import (
     ACCEPT_INHERIT,
-    ACCEPT_REUSEPORT,
     FleetConfig,
     FleetSupervisor,
     http_get,
@@ -268,20 +268,20 @@ class TestFleetLifecycle:
 
         asyncio.run(main())
 
-    @pytest.mark.skipif(
-        pick_accept_mode() != ACCEPT_REUSEPORT,
-        reason="inherit fallback is the only mode on this kernel",
-    )
-    def test_inherit_accept_mode_fallback(self, tmp_path):
+    def test_inherit_accept_mode_fallback(self, tmp_path, monkeypatch):
         """The parent-acceptor fallback serves without SO_REUSEPORT."""
+        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
+        assert pick_accept_mode() == ACCEPT_INHERIT
 
         async def main():
-            supervisor = FleetSupervisor(
-                make_config(tmp_path, workers=2, accept_mode=ACCEPT_INHERIT)
-            )
+            supervisor = FleetSupervisor(make_config(tmp_path, workers=2))
             assert supervisor.accept_mode == ACCEPT_INHERIT
             await supervisor.start()
             try:
+                health = await admin_health(supervisor)
+                assert health["fleet"]["accept_mode"] == ACCEPT_INHERIT
+                control = json.loads(Path(supervisor.config.control_file).read_text())
+                assert control["accept_mode"] == ACCEPT_INHERIT
                 host, port = supervisor.config.host, supervisor.port
                 report = await LoadGenerator(
                     LoadGenConfig(

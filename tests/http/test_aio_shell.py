@@ -441,3 +441,17 @@ def test_admin_answers_carry_the_tier_identity_headers(kind, headers, tmp_path):
             client.close()
 
     run(check, kind, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "knob, seconds",
+    [("request_timeout", 0), ("request_timeout", -1.0), ("idle_timeout", 0),
+     ("drain_timeout", -0.5)],
+)
+def test_timeouts_outside_their_range_are_refused(knob, seconds):
+    """A zero request budget would answer every request — a 404 too —
+    with ``504 request timed out``, so both tiers refuse it up front."""
+    with pytest.raises(ValueError, match=knob):
+        build_server([make_site()], **{knob: seconds})
+    with pytest.raises(ValueError, match=knob):
+        ProxyHTTPServer("127.0.0.1", 1, **{knob: seconds})

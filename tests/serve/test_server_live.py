@@ -406,3 +406,18 @@ class TestLoadGenerator:
         text = report.render()
         assert "throughput" in text and "req/s" in text
         assert f"{report.requests} / {report.completed}" in text
+
+
+@pytest.mark.parametrize("every", [0, -3])
+def test_snapshot_every_below_one_is_refused(tmp_path, every):
+    """0 is refused like any count below one, not read as "unset"."""
+    with pytest.raises(ValueError, match="snapshot_every must be >= 1"):
+        make_server(state_dir=tmp_path / "state", snapshot_every=every)
+
+
+def test_snapshot_every_unset_takes_the_store_default(tmp_path):
+    from repro.store import DEFAULT_SNAPSHOT_EVERY
+
+    server = make_server(state_dir=tmp_path / "state")
+    assert server.engine.store.snapshot_every == DEFAULT_SNAPSHOT_EVERY
+    server.engine.close()

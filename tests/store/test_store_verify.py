@@ -105,3 +105,27 @@ def test_sketch_of_another_geometry_is_reported(tmp_path):
     store.close()
     with pytest.raises(StoreError, match="cls1 v1: sketch has 3 values"):
         verify_state_dir(tmp_path / "state")
+
+
+def test_engine_written_directory_verifies(tmp_path):
+    """The engine's grouper and ``store verify`` read one sketch geometry,
+    so every sketch the engine persists passes the length check."""
+    from repro.core.config import AnonymizationConfig, DeltaServerConfig
+    from repro.core.delta_server import DeltaServer
+    from repro.http.messages import Request, Response
+
+    async def fetch(request, now):
+        return Response(status=200, body=doc(int(request.url[-1])))
+
+    config = DeltaServerConfig(anonymization=AnonymizationConfig(enabled=False))
+    engine = DeltaServer(fetch, config, store=Store.open(tmp_path / "state"))
+    for n in range(1, 4):
+        request = Request(url=f"www.s.com/page-{n}", cookies={"uid": f"u{n}"})
+        assert engine.handle(request, now=float(n)).status == 200
+    engine.close()
+
+    reopened = Store.open(tmp_path / "state")
+    states = list(reopened.classes())
+    assert states and all(state.sketch for state in states)
+    reopened.close()
+    assert "versions verified" in verify_state_dir(tmp_path / "state")

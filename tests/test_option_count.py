@@ -11,9 +11,12 @@ The count is
   positionals and argparse's own ``-h``/``--help`` excluded; a flag that
   several subcommands share counts once per subcommand.
 
-A change that adds an option must retire one, or move ``EXPECTED`` on
-purpose, in the same change.  (The ROADMAP once quoted 155 under a rule
-it never wrote down; this rule read 166 before the gateway's two
+The options are pinned by name in ``option_names.txt`` (one per line,
+sorted): a config field as ``<module>.<Config>.<field>``, a CLI option as
+``repro <subcommand path> <flag>``.  A change that adds an option must
+add its name there, so retiring one option and adding another in the
+same change still shows in the diff.  (The ROADMAP once quoted 155 under
+a rule it never wrote down; this rule read 166 before the gateway's two
 origin-delay flags gave way to the fault plan's ``latency`` rule.)
 """
 
@@ -21,15 +24,17 @@ import argparse
 import dataclasses
 import importlib
 import pkgutil
+from pathlib import Path
 
 import repro
 from repro.cli import build_parser
 
-EXPECTED = 164
+PINNED = Path(__file__).with_name("option_names.txt").read_text().splitlines()
+EXPECTED = len(PINNED)
 
 
-def config_fields() -> dict[str, int]:
-    counts = {}
+def config_fields() -> dict[str, list[str]]:
+    fields = {}
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         module = importlib.import_module(info.name)
         for name, obj in vars(module).items():
@@ -39,8 +44,10 @@ def config_fields() -> dict[str, int]:
                 and dataclasses.is_dataclass(obj)
                 and obj.__module__ == module.__name__
             ):
-                counts[f"{obj.__module__}.{name}"] = len(dataclasses.fields(obj))
-    return counts
+                fields[f"{obj.__module__}.{name}"] = [
+                    f.name for f in dataclasses.fields(obj)
+                ]
+    return fields
 
 
 def cli_option_strings() -> list[str]:
@@ -60,9 +67,23 @@ def cli_option_strings() -> list[str]:
     return options
 
 
+def option_names() -> list[str]:
+    names = [
+        f"{config}.{name}"
+        for config, fields in config_fields().items()
+        for name in fields
+    ]
+    return sorted(names + cli_option_strings())
+
+
+def test_option_names_are_pinned():
+    assert PINNED == sorted(PINNED)
+    assert option_names() == PINNED
+
+
 def test_option_count_is_pinned():
-    total = sum(config_fields().values()) + len(cli_option_strings())
-    assert total == EXPECTED
+    assert EXPECTED == 148
+    assert len(option_names()) == EXPECTED
 
 
 def test_the_count_sees_every_config_and_verb():
