@@ -132,19 +132,15 @@ async def run_clients(
     subtraces: list[Trace],
     spec: SiteSpec,
     connect: tuple[str, int],
-    origin: tuple[str, int],
 ) -> tuple[list, list[LoadGenerator]]:
-    """Run one client population per subtrace, all concurrently."""
+    """Run one client population per subtrace, all concurrently, each
+    connecting to ``connect`` (the server or the proxy in front of it)."""
     host, port = connect
-    origin_host, origin_port = origin
-    proxied = connect != origin
     generators = [
         LoadGenerator(
             LoadGenConfig(
-                host=origin_host,
-                port=origin_port,
-                proxy_host=host if proxied else None,
-                proxy_port=port if proxied else None,
+                host=host,
+                port=port,
                 concurrency=2,
                 verify=True,
                 seed=100 + i,
@@ -190,9 +186,7 @@ async def run_experiment(clients: int, requests: int, seed: int) -> dict:
 
         # Scenario A: every client population talks straight to the server.
         bytes_out_before = server.stats.bytes_out
-        direct_reports, _ = await run_clients(
-            subtraces, spec, server.address, server.address
-        )
+        direct_reports, _ = await run_clients(subtraces, spec, server.address)
         direct_upstream_wire = server.stats.bytes_out - bytes_out_before
         direct = summarize_reports(direct_reports)
         direct["upstream_wire_bytes"] = direct_upstream_wire
@@ -200,7 +194,7 @@ async def run_experiment(clients: int, requests: int, seed: int) -> dict:
         # Scenario B: fresh, identical populations behind one proxy tier.
         async with ProxyHTTPServer(*server.address) as proxy:
             proxy_reports, generators = await run_clients(
-                subtraces, spec, proxy.address, server.address
+                subtraces, spec, proxy.address
             )
             via = summarize_reports(proxy_reports)
             via["upstream_wire_bytes"] = proxy.stats.upstream_wire_bytes

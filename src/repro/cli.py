@@ -8,7 +8,7 @@ Usage::
     python -m repro.cli capacity
     python -m repro.cli serve --port 8707
     python -m repro.cli proxy --upstream-port 8707 --port 8708
-    python -m repro.cli loadgen trace.log --via-proxy 127.0.0.1:8708
+    python -m repro.cli loadgen trace.log --port 8708
 
 The CLI drives the same public API the examples use; it exists so the
 system can be exercised from a shell (and from scripts) without writing
@@ -562,37 +562,26 @@ def cmd_proxy(args: argparse.Namespace) -> int:
     return asyncio.run(run())
 
 
-def _parse_hostport(value: str) -> tuple[str, int]:
-    host, sep, port = value.rpartition(":")
-    if not sep or not host:
-        raise argparse.ArgumentTypeError(
-            f"expected HOST:PORT, got {value!r}"
-        )
-    try:
-        return host, int(port)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad port in {value!r}") from exc
-
-
 def cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.serve import LoadGenConfig, LoadGenerator
 
+    try:
+        config = LoadGenConfig(
+            host=args.host,
+            port=args.port,
+            mode=args.mode,
+            concurrency=args.concurrency,
+            rate=args.rate,
+            max_requests=args.requests,
+            request_timeout=args.timeout,
+            verify=not args.no_verify,
+            retries=args.retries,
+            retry_backoff=args.retry_backoff,
+        )
+    except ValueError as exc:
+        print(f"loadgen: {exc}", file=sys.stderr)
+        return 2
     trace = Trace.load(args.trace)
-    proxy_host, proxy_port = args.via_proxy or (None, None)
-    config = LoadGenConfig(
-        host=args.host,
-        port=args.port,
-        proxy_host=proxy_host,
-        proxy_port=proxy_port,
-        mode=args.mode,
-        concurrency=args.concurrency,
-        rate=args.rate,
-        max_requests=args.requests,
-        request_timeout=args.timeout,
-        verify=not args.no_verify,
-        retries=args.retries,
-        retry_backoff=args.retry_backoff,
-    )
     report = asyncio.run(LoadGenerator(config).run(trace))
     print(report.render())
     if report.verify_failures:
@@ -784,12 +773,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     loadgen = sub.add_parser("loadgen", help="replay a trace against a live server")
     loadgen.add_argument("trace")
-    loadgen.add_argument("--host", default="127.0.0.1")
+    loadgen.add_argument("--host", default="127.0.0.1",
+                         help="server, or a proxy tier in front of it")
     loadgen.add_argument("--port", type=int, default=8707)
-    loadgen.add_argument("--via-proxy", type=_parse_hostport, default=None,
-                         metavar="HOST:PORT",
-                         help="connect through a live proxy tier instead of "
-                              "directly to the server")
     loadgen.add_argument("--mode", default="closed", choices=["closed", "open"])
     loadgen.add_argument("--concurrency", type=int, default=8)
     loadgen.add_argument("--rate", type=float, default=100.0,

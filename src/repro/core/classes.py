@@ -6,12 +6,17 @@ classes, and a single base-file is stored at the server per class"
 
 * its membership (URLs grouped into it) and popularity counter, which the
   grouping search uses to order candidate classes;
-* the *raw* base-file (chosen by the selection policy) and the
-  *distributable* base-file (the anonymized version clients may hold),
+* at most three :class:`Base` records: the *raw* base-file (chosen by the
+  selection policy), the *current* distributable base-file (the anonymized
+  version clients may hold) and the *previous* distributable generation,
   with a version number bumped on every promotion so stale client copies
-  are detectable;
-* cached differ indexes for both, since one base-file is diffed against
-  every in-class request.
+  are detectable.
+
+Everything derived from one base-file — its differ indexes, MinHash
+signature, integrity checksum and encoded deltas — lives on that file's
+record, so it is only ever used with exactly those bytes: a lifecycle
+transition is a slot assignment, and whatever described the bytes that
+left a slot leaves with them.
 
 The two-stage base lifecycle implements Section V's rule that a base-file
 "should not be distributed to clients" until anonymized, while "if there is
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.anonymize import AnonymizationState, Anonymizer
 from repro.core.base_file import BaseFilePolicy
@@ -45,7 +50,7 @@ class ClassStats:
 
 
 class EncodeCache:
-    """Per-class LRU of encoded deltas keyed by (base version, target checksum).
+    """LRU of finished deltas against one base-file, keyed by target checksum.
 
     Popular classes see the same (base, document) pair repeatedly — every
     member URL rendering the same snapshot, every concurrent client holding
@@ -53,17 +58,11 @@ class EncodeCache:
     stage of such a request.  One entry memoizes the finished artifact:
     ``(wire_size, compressed_payload)``.
 
-    Safety: a hit can never serve a stale delta.  Entries are keyed by the
-    base *version*, the engine's snapshot-encode-commit protocol revalidates
-    that exact version at commit time, and versions are never reused within
-    one process (the counter is monotonic; :meth:`DocumentClass.release_base`
-    keeps it, and :meth:`DocumentClass.restore_base` — the engine's warm
-    restart setting the persisted version — clears the cache).  A restart
-    can re-mint a number a released class used before it (ROADMAP item
-    1), but the cache starts empty in every process, so it never holds
-    both.  The target checksum pins the document bytes; base bytes for a
-    version are pinned by the promotion-time integrity checksum (corruption
-    quarantines, which also clears).
+    Safety: a hit can never serve a stale delta.  The cache hangs off one
+    :class:`Base` record, so the base bytes are fixed by construction; the
+    target checksum pins the document bytes.  Base bytes are also pinned
+    by the record's promotion-time integrity checksum (corruption
+    quarantines, which drops the record).
 
     The cache has its own lock so the engine's off-lock encode path can
     consult it without touching the class lock.
@@ -73,25 +72,21 @@ class EncodeCache:
 
     def __init__(self, capacity: int = 8) -> None:
         self.capacity = capacity
-        self._entries: OrderedDict[tuple[int, int], tuple[int, bytes]] = OrderedDict()
+        self._entries: OrderedDict[int, tuple[int, bytes]] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, version: int, target_checksum: int) -> tuple[int, bytes] | None:
-        """Cached ``(wire_size, payload)`` for the pair, refreshing recency."""
-        key = (version, target_checksum)
+    def get(self, target_checksum: int) -> tuple[int, bytes] | None:
+        """Cached ``(wire_size, payload)`` for the target, refreshing recency."""
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.get(target_checksum)
             if entry is not None:
-                self._entries.move_to_end(key)
+                self._entries.move_to_end(target_checksum)
             return entry
 
-    def put(
-        self, version: int, target_checksum: int, wire_size: int, payload: bytes
-    ) -> None:
-        key = (version, target_checksum)
+    def put(self, target_checksum: int, wire_size: int, payload: bytes) -> None:
         with self._lock:
-            self._entries[key] = (wire_size, payload)
-            self._entries.move_to_end(key)
+            self._entries[target_checksum] = (wire_size, payload)
+            self._entries.move_to_end(target_checksum)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
@@ -102,6 +97,44 @@ class EncodeCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+
+class Base:
+    """One base-file and everything derived from exactly its bytes.
+
+    ``version`` and ``checksum`` are set when the record is promoted to
+    distributable (a raw base awaiting anonymization has neither).  The
+    differ indexes are built on first use; ``signature`` is the MinHash
+    sketch the grouper registers for the record while it is the class's
+    match base (see :attr:`DocumentClass.match_base`).
+    """
+
+    __slots__ = ("body", "version", "checksum", "signature", "deltas", "_full", "_light")
+
+    def __init__(
+        self, body: bytes, signature: "tuple[int, ...] | None" = None
+    ) -> None:
+        self.body = body
+        self.version: int | None = None
+        self.checksum: int | None = None
+        self.signature = signature
+        self.deltas = EncodeCache()
+        self._full: BaseIndex | None = None
+        self._light: BaseIndex | None = None
+
+    def full_index(self, encoder: VdeltaEncoder) -> BaseIndex:
+        if self._full is None:
+            self._full = encoder.index(self.body)
+        return self._full
+
+    def light_index(self, estimator: LightEstimator) -> BaseIndex:
+        if self._light is None:
+            self._light = estimator.index(self.body)
+        return self._light
+
+    def intact(self) -> bool:
+        """Whether the bytes still match the promotion-time checksum."""
+        return self.checksum is not None and checksum(self.body) == self.checksum
 
 
 class DocumentClass:
@@ -139,42 +172,27 @@ class DocumentClass:
         self._encoder = encoder
         self._estimator = estimator
 
-        self._raw_base: bytes | None = None
-        self._distributable: bytes | None = None
+        # The three base-file slots (module docstring).  Invariant: a held
+        # ``current`` carries ``self.version``; ``previous`` is only held
+        # beside a ``current``.  ``raw is current`` when the adopted bytes
+        # were distributable as-is (anonymization off, warm restart).
+        self.raw: Base | None = None
+        self.current: Base | None = None
+        # One previous distributable generation is kept live so clients
+        # holding it keep receiving deltas across a rebase instead of
+        # falling back to full responses while they re-fetch the new base.
+        self.previous: Base | None = None
         self.version = 0
         self._pending: Anonymizer | None = None
+        # The document that founded this class, pre-sketched by the grouper
+        # (see presketch).
+        self._founding: Base | None = None
 
         # Self-healing: every distributable base is checksummed on
         # promotion so storage corruption is detected before a delta is
         # computed against rotten bytes; a quarantined class serves fulls
         # until it re-adopts a fresh base from the next good fetch.
         self.quarantined = False
-        self._checksum: int | None = None
-        self._previous_checksum: int | None = None
-
-        # One previous distributable generation is kept live so clients
-        # holding it keep receiving deltas across a rebase instead of
-        # falling back to full responses while they re-fetch the new base.
-        self._previous: bytes | None = None
-        self._previous_version: int | None = None
-        self._previous_index: BaseIndex | None = None
-
-        self._full_index: BaseIndex | None = None
-        self._light_index: BaseIndex | None = None
-
-        # The MinHash sketch of the current base (see repro.core.sketch):
-        # the grouper registers it in the LSH candidate index and the
-        # store persists it next to the committed base, so a warm restart
-        # does not re-sketch every base.  Keyed by base object identity
-        # (like the differ index caches) so promote/rebase/restore
-        # invalidate it without extra bookkeeping.
-        self.base_signature: tuple[int, ...] | None = None
-        self._sketch_base: bytes | None = None
-
-        # Finished (wire_size, compressed payload) artifacts per
-        # (base version, target checksum); see EncodeCache for why hits
-        # are safe across the engine's snapshot-encode-commit races.
-        self.encode_cache = EncodeCache()
 
     # -- membership ----------------------------------------------------------
 
@@ -193,39 +211,56 @@ class DocumentClass:
 
     # -- content sketch --------------------------------------------------------
 
-    def note_signature(
-        self, signature: "tuple[int, ...] | None", base: bytes | None
-    ) -> None:
-        """Record the MinHash signature computed from exactly ``base``."""
-        self.base_signature = signature
-        self._sketch_base = base
+    def presketch(self, document: bytes, signature: "tuple[int, ...]") -> None:
+        """Hand over the signature the grouper computed for the document
+        that founded this class: adopting that same document starts its
+        record with it, so the founding base is never sketched twice."""
+        self._founding = Base(document, signature)
 
-    def signature_for(self, base: bytes | None) -> "tuple[int, ...] | None":
-        """The cached signature iff it was computed from this ``base``
-        object (identity check, same invalidation rule as the differ
-        index caches)."""
-        if base is not None and base is self._sketch_base:
-            return self.base_signature
-        return None
+    @property
+    def match_base(self) -> Base | None:
+        """The record grouping compares documents against.
+
+        The distributable base when one exists (that is what deltas will
+        be computed against), else the raw base during the initial
+        anonymization window.
+        """
+        return self.current if self.can_serve_deltas else self.raw
+
+    @property
+    def base_signature(self) -> "tuple[int, ...] | None":
+        """The match base's MinHash signature, once the grouper has it."""
+        base = self.match_base
+        return base.signature if base is not None else None
 
     # -- base-file lifecycle ---------------------------------------------------
 
     @property
     def raw_base(self) -> bytes | None:
         """The currently adopted (possibly not yet distributable) base-file."""
-        return self._raw_base
+        return self.raw.body if self.raw is not None else None
 
     @property
     def distributable_base(self) -> bytes | None:
         """The anonymized base-file clients may cache, or ``None``."""
-        return self._distributable
+        return self.current.body if self.current is not None else None
+
+    @property
+    def distributable_checksum(self) -> int | None:
+        """Promotion-time adler32 of the current distributable base."""
+        return self.current.checksum if self.current is not None else None
+
+    @property
+    def previous_version(self) -> int | None:
+        """Version number of the still-servable previous base, if any."""
+        return self.previous.version if self.previous is not None else None
 
     @property
     def can_serve_deltas(self) -> bool:
         return (
             not self.quarantined
-            and self._distributable is not None
-            and len(self._distributable) > 0
+            and self.current is not None
+            and len(self.current.body) > 0
         )
 
     @property
@@ -242,8 +277,12 @@ class DocumentClass:
         new one is ready.  Adopting also lifts any quarantine: a fresh
         base from a good fetch is exactly the recovery path.
         """
+        founding, self._founding = self._founding, None
+        if founding is not None and founding.body is document:
+            self.raw = founding
+        else:
+            self.raw = Base(document)
         self.quarantined = False
-        self._raw_base = document
         self.last_rebase_at = now
         self._pending = Anonymizer(
             document, self._anon_config, encoder=self._encoder, owner_user=owner_user
@@ -260,42 +299,45 @@ class DocumentClass:
             self._promote(self._pending)
 
     def _promote(self, anonymizer: Anonymizer) -> None:
-        assert anonymizer.anonymized is not None
-        if self._distributable is not None:
-            self._previous = self._distributable
-            self._previous_version = self.version
-            self._previous_index = self._full_index
-            self._previous_checksum = self._checksum
-        self._distributable = anonymizer.anonymized
-        self._checksum = checksum(self._distributable)
+        anonymized = anonymizer.anonymized
+        assert anonymized is not None and self.raw is not None
+        base = self.raw if anonymized is self.raw.body else Base(anonymized)
         self.version += 1
+        base.version = self.version
+        base.checksum = checksum(anonymized)
+        for demoted in (self.raw, self.current):
+            if demoted is not None and demoted is not base:
+                # No longer probed by grouping: free its light index now
+                # rather than when the record itself goes.
+                demoted._light = None
+        self.previous, self.current = self.current, base
         self._pending = None
-        self._full_index = None
-        self._light_index = None
 
-    @property
-    def previous_version(self) -> int | None:
-        """Version number of the still-servable previous base, if any."""
-        return self._previous_version
+    def servable(self, version: int) -> Base | None:
+        """The distributable record published as ``version``, if still held."""
+        for base in (self.current, self.previous):
+            if base is not None and base.version == version:
+                return base
+        return None
 
     def base_for_version(self, version: int) -> bytes | None:
         """The distributable base matching ``version`` (current or previous)."""
-        if version == self.version and self._distributable is not None:
-            return self._distributable
-        if version == self._previous_version:
-            return self._previous
-        return None
+        base = self.servable(version)
+        return base.body if base is not None else None
 
     def integrity_ok(self, version: int) -> bool:
         """Whether the stored base for ``version`` still matches its
         promotion-time checksum (False = corrupted or absent)."""
-        body = self.base_for_version(version)
-        if body is None:
-            return False
-        expected = (
-            self._checksum if version == self.version else self._previous_checksum
-        )
-        return expected is not None and checksum(body) == expected
+        base = self.servable(version)
+        return base is not None and base.intact()
+
+    def bases(self) -> list[Base]:
+        """The distinct records this class holds (raw may be current)."""
+        held: list[Base] = []
+        for base in (self.raw, self.current, self.previous):
+            if base is not None and base not in held:
+                held.append(base)
+        return held
 
     def quarantine(self) -> int:
         """Take every stored base out of service; returns bytes freed.
@@ -308,8 +350,6 @@ class DocumentClass:
         self.quarantined = True
         return self.release_base()
 
-    # -- index caching -----------------------------------------------------------
-
     def drop_previous(self) -> int:
         """Release the previous-generation base; returns bytes freed.
 
@@ -317,11 +357,8 @@ class DocumentClass:
         their next request and pick up the current base — the pre-graceful
         rebase behaviour, acceptable under storage pressure.
         """
-        freed = len(self._previous or b"")
-        self._previous = None
-        self._previous_version = None
-        self._previous_index = None
-        self._previous_checksum = None
+        freed = len(self.previous.body) if self.previous is not None else 0
+        self.previous = None
         return freed
 
     def release_base(self) -> int:
@@ -333,19 +370,9 @@ class DocumentClass:
         clients holding released generations are correctly detected as
         stale when the class comes back.
         """
-        freed = self.drop_previous()
-        freed += len(self._raw_base or b"")
-        if self._distributable is not None and self._distributable is not self._raw_base:
-            freed += len(self._distributable)
-        self._raw_base = None
-        self._distributable = None
+        freed = sum(len(base.body) for base in self.bases())
+        self.raw = self.current = self.previous = None
         self._pending = None
-        self._full_index = None
-        self._light_index = None
-        self._checksum = None
-        self.base_signature = None
-        self._sketch_base = None
-        self.encode_cache.clear()
         return freed
 
     def restore_base(self, document: bytes, version: int, doc_checksum: int) -> None:
@@ -360,61 +387,37 @@ class DocumentClass:
         response and re-fetch.  Caller holds ``self.lock`` (or owns the
         class exclusively, as during warm restart).
         """
-        self._raw_base = document
-        self._distributable = document
+        base = Base(document)
+        base.version = version
+        base.checksum = doc_checksum
+        self.raw = self.current = base
+        self.previous = None
         self.version = version
-        self._checksum = doc_checksum
         self._pending = None
         self.quarantined = False
-        self._previous = None
-        self._previous_version = None
-        self._previous_index = None
-        self._previous_checksum = None
-        self._full_index = None
-        self._light_index = None
-        self.base_signature = None
-        self._sketch_base = None
-        # The restored version number may collide with pre-restart cache
-        # entries for different base bytes; never let them be confused.
-        self.encode_cache.clear()
 
-    @property
-    def distributable_checksum(self) -> int | None:
-        """Promotion-time adler32 of the current distributable base."""
-        return self._checksum
+    # -- index caching -----------------------------------------------------------
 
     def full_index(self) -> BaseIndex:
         """Cached full-differ index over the distributable base."""
         if not self.can_serve_deltas:
             raise RuntimeError(f"class {self.class_id} has no distributable base")
-        if self._full_index is None:
-            assert self._distributable is not None
-            self._full_index = self._encoder.index(self._distributable)
-        return self._full_index
+        assert self.current is not None
+        return self.current.full_index(self._encoder)
 
     def full_index_for(self, version: int) -> BaseIndex | None:
         """Cached index for a served base version (current or previous)."""
-        if version == self.version:
-            return self.full_index() if self.can_serve_deltas else None
-        if version == self._previous_version and self._previous is not None:
-            if self._previous_index is None:
-                self._previous_index = self._encoder.index(self._previous)
-            return self._previous_index
-        return None
+        base = self.servable(version)
+        if base is None or (base is self.current and not self.can_serve_deltas):
+            return None
+        return base.full_index(self._encoder)
 
     def light_index(self) -> BaseIndex | None:
-        """Cached light-estimator index over the best base for matching.
-
-        Grouping compares documents against the distributable base when one
-        exists (that is what deltas will be computed against) and falls back
-        to the raw base during the initial anonymization window.
-        """
-        base = self._distributable if self.can_serve_deltas else self._raw_base
-        if not base:
+        """Cached light-estimator index over the match base."""
+        base = self.match_base
+        if base is None or not base.body:
             return None
-        if self._light_index is None or self._light_index.base is not base:
-            self._light_index = self._estimator.index(base)
-        return self._light_index
+        return base.light_index(self._estimator)
 
     def __repr__(self) -> str:
         return (

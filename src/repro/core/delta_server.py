@@ -47,13 +47,13 @@ benchmark's baseline does):
 * **Class state is guarded by per-class locks**: membership, base-file
   lifecycle, policy samples, and rebase decisions for one class never
   block requests of another class.
-* **Delta generation is lock-free via snapshot-encode-commit**: the
-  ``(version, BaseIndex)`` pair is snapshotted under the class lock, the
-  Vdelta encode and deflate compress run outside every lock (both are
-  byte-level work), and the commit step revalidates the version.  If a
-  rebase or a storage release won the race, the commit is abandoned — one
-  retry against the new base, then a full response.  A delta against a
-  retired base version is never served.
+* **Delta generation is lock-free via snapshot-encode-commit**: the base
+  record and its index are snapshotted under the class lock, the Vdelta
+  encode and deflate compress run outside every lock (both are byte-level
+  work), and the commit step revalidates that the record still holds its
+  slot.  If a rebase or a storage release won the race, the commit is
+  abandoned — one retry against the new base, then a full response.  A
+  delta against a retired base version is never served.
 * **Counters are striped per thread** (:mod:`repro.core.counters`), so
   accounting stays exact under contention without a shared hot lock;
   ``stats`` materializes a :class:`ServerStats` snapshot on read.
@@ -88,7 +88,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from time import perf_counter
 from typing import Iterator
 
-from repro.core.classes import DocumentClass
+from repro.core.classes import Base, DocumentClass
 from repro.core.config import MIN_DOCUMENT_BYTES, DeltaServerConfig
 from repro.core.base_file import RandomizedPolicy
 from repro.core.counters import StripedCounters
@@ -197,9 +197,9 @@ STAT_FIELDS = tuple(f.name for f in dataclass_fields(ServerStats))
 class _DeltaPlan:
     """Snapshot taken under the class lock for one off-lock encode."""
 
-    version: int
+    base: Base
     index: BaseIndex
-    #: True when the snapshot was the class's current version (False: the
+    #: True when the snapshot was the class's current base (False: the
     #: client holds the still-servable previous generation).
     served_current: bool
 
@@ -435,7 +435,7 @@ class DeltaServer:
     ) -> None:
         """Feed one fresh origin document into the class, under its lock."""
         with self._class_locked(cls, timings):
-            version_before = cls.version
+            current_before = cls.current
             cls.policy.observe(document, request.user_id)
             if cls.raw_base is None:
                 # The class is born with this response as its base-file
@@ -453,13 +453,14 @@ class DeltaServer:
                 self._maybe_rebase(cls, document, request.user_id, now)
             # Keep the LSH candidate index in step with the base the
             # grouper probes: a no-op (two attribute reads) unless the
-            # base object changed (adoption, promotion, rebase, release).
+            # match base changed (adoption, promotion, rebase, release).
             # Still under the class lock — class lock → sketch-index lock
             # is the sanctioned ordering.
             signature = self.grouper.refresh_sketch(cls)
+            current = cls.current
             if (
                 self.store is not None
-                and cls.version != version_before
+                and current is not current_before
                 and cls.can_serve_deltas
             ):
                 # A promotion happened (adoption, anonymization completion,
@@ -469,12 +470,12 @@ class DeltaServer:
                 # lock is the sanctioned ordering).  The signature rides
                 # along so a warm restart does not re-sketch the base.
                 started = perf_counter()
-                assert cls.distributable_base is not None
+                assert current is not None
                 self.store.commit_base(
                     cls.class_id,
                     cls.version,
-                    cls.distributable_base,
-                    cls.distributable_checksum,
+                    current.body,
+                    current.checksum,
                     signature=signature,
                 )
                 timings["store_commit"] = (
@@ -533,9 +534,9 @@ class DeltaServer:
         cls = self.grouper.class_for_url(request.url)
         if cls is not None:
             with self._class_locked(cls, timings):
-                if cls.can_serve_deltas and cls.integrity_ok(cls.version):
-                    assert cls.distributable_base is not None
-                    response = Response(status=200, body=cls.distributable_base)
+                current = cls.current
+                if cls.can_serve_deltas and current.intact():
+                    response = Response(status=200, body=current.body)
                     response.headers.set(HEADER_DEGRADED, "stale-base")
                     response.headers.set("Warning", '110 - "response is stale"')
                     self._counters.inc("stale_served")
@@ -603,14 +604,15 @@ class DeltaServer:
     ) -> Response:
         """Answer with a delta when possible, else the full document.
 
-        Delta generation follows snapshot-encode-commit: the base version
+        Delta generation follows snapshot-encode-commit: the base record
         and its index are snapshotted under the class lock, the encode and
-        compress run under *no* lock, and the commit revalidates the
-        version.  A commit that lost a rebase/release race is retried
-        (:data:`COMMIT_RETRIES` times) against the fresh state; when
-        retries run out — or the fresh state no longer admits a delta —
-        the full document is served.  The loop can therefore never emit a
-        delta referencing a base version that has been retired.
+        compress run under *no* lock, and the commit revalidates that the
+        record still holds its slot.  A commit that lost a rebase/release
+        race is retried (:data:`COMMIT_RETRIES` times) against the fresh
+        state; when retries run out — or the fresh state no longer admits
+        a delta — the full document is served.  The loop can therefore
+        never emit a delta referencing a base version that has been
+        retired.
         """
         accepted = request.accepts_delta()
         conflicts = 0
@@ -641,34 +643,30 @@ class DeltaServer:
         accepted: list[str],
         timings: dict[str, float],
     ) -> _DeltaPlan | None:
-        """Snapshot the servable base version for an off-lock encode."""
+        """Snapshot the servable base record for an off-lock encode."""
         with self._class_locked(cls, timings):
             if not cls.can_serve_deltas:
                 return None
-            if base_ref(cls.class_id, cls.version) in accepted:
-                version = cls.version
-            elif cls.previous_version is not None and (
-                base_ref(cls.class_id, cls.previous_version) in accepted
-            ):
-                # The client still holds the pre-rebase base: serve a
-                # delta against it (the commit will advertise the new
-                # base so the client upgrades without a full response).
-                version = cls.previous_version
+            for base in (cls.current, cls.previous):
+                # A client still holding the pre-rebase base gets a delta
+                # against it (the commit advertises the new base so the
+                # client upgrades without a full response).
+                if base is not None and (
+                    base_ref(cls.class_id, base.version) in accepted
+                ):
+                    break
             else:
                 return None
-            index = cls.full_index_for(version)
-            if index is None:
-                return None
-            if not cls.integrity_ok(version):
+            if not base.intact():
                 # The stored base no longer matches its promotion
                 # checksum: storage corruption.  Quarantine before a delta
                 # against rotten bytes reaches any client.
                 self._quarantine(cls, cause="integrity")
                 return None
             return _DeltaPlan(
-                version=version,
-                index=index,
-                served_current=version == cls.version,
+                base=base,
+                index=base.full_index(self._encoder),
+                served_current=base is cls.current,
             )
 
     def _encode_buffer(self) -> bytearray:
@@ -699,14 +697,13 @@ class DeltaServer:
         Returns ``(wire_size, compressed_payload)``.  The streaming kernel
         feeds wire bytes straight into a ``zlib`` compressor in ~64 KiB
         chunks, so the uncompressed wire image is never materialized; the
-        finished artifact is memoized in the class's
-        :class:`~repro.core.classes.EncodeCache` keyed by (base version,
-        target checksum) — repeat requests for the same snapshot skip the
-        whole encode.
+        finished artifact is memoized in the base record's
+        :class:`~repro.core.classes.EncodeCache` keyed by target checksum —
+        repeat requests for the same snapshot skip the whole encode.
         """
         started = perf_counter()
         doc_checksum = checksum(document)
-        cached = cls.encode_cache.get(plan.version, doc_checksum)
+        cached = plan.base.deltas.get(doc_checksum)
         if cached is not None:
             self.metrics.inc(
                 "delta_encode_cache_hits_total",
@@ -752,7 +749,7 @@ class DeltaServer:
         total = perf_counter() - started
         timings["encode"] = timings.get("encode", 0.0) + (total - compress_seconds)
         timings["compress"] = timings.get("compress", 0.0) + compress_seconds
-        cls.encode_cache.put(plan.version, doc_checksum, wire_size, payload)
+        plan.base.deltas.put(doc_checksum, wire_size, payload)
         return wire_size, payload
 
     def _commit_delta(
@@ -767,20 +764,13 @@ class DeltaServer:
 
         Returns ``("served", response)``, ``("full", None)`` for a
         degenerate delta, or ``("conflict", None)`` when a rebase,
-        quarantine, or storage release retired the snapshotted version
-        while the encode ran off-lock.
+        quarantine, or storage release moved the snapshotted record out of
+        its slot while the encode ran off-lock.
         """
         wire_size, payload = encoded
         with self._class_locked(cls, timings):
-            if plan.served_current:
-                valid = cls.version == plan.version and cls.can_serve_deltas
-            else:
-                valid = (
-                    not cls.quarantined
-                    and cls.previous_version == plan.version
-                    and cls.base_for_version(plan.version) is not None
-                )
-            if not valid:
+            slot = cls.current if plan.served_current else cls.previous
+            if slot is not plan.base:
                 return "conflict", None
             controller = self._controllers[cls.class_id]
             controller.note_delta(wire_size, len(document))
@@ -790,7 +780,9 @@ class DeltaServer:
                 # so a basic-rebase will follow shortly.
                 return "full", None
             response = Response(status=200, body=payload)
-            response.headers.set(HEADER_DELTA, base_ref(cls.class_id, plan.version))
+            response.headers.set(
+                HEADER_DELTA, base_ref(cls.class_id, plan.base.version)
+            )
             response.headers.set(HEADER_CONTENT_ENCODING, "deflate")
             if not plan.served_current:
                 response.headers.set(
@@ -860,10 +852,11 @@ class DeltaServer:
         except KeyError:
             return Response(status=404, body=b"unknown class")
         with self._class_locked(cls, timings):
-            body = cls.base_for_version(version)
-            if body is None:
+            base = cls.servable(version)
+            if base is None:
                 return Response(status=404, body=b"stale base-file version")
-            if not cls.integrity_ok(version):
+            body = base.body
+            if not base.intact():
                 # Never distribute corrupted bytes; the class heals itself
                 # on its next document fetch.
                 self._quarantine(cls, cause="integrity")

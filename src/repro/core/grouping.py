@@ -221,14 +221,16 @@ class Grouper:
             self._by_key.setdefault(cls.key, []).append(cls)
             for url in members:
                 self._url_to_class[url] = cls.class_id
-        if self._sketch_index is None or cls.raw_base is None:
+        if self._sketch_index is None:
             return
         assert self._sketcher is not None
         with cls.lock:
+            base = cls.match_base
+            if base is None:
+                return
             if signature is not None and len(signature) == self._sketcher.num_perm:
-                restored = tuple(int(slot) for slot in signature)
-                cls.note_signature(restored, cls.raw_base)
-                self._sketch_index.register(cls.class_id, restored)
+                base.signature = tuple(int(slot) for slot in signature)
+                self._sketch_index.register(cls.class_id, base.signature)
             else:
                 self.refresh_sketch(cls)
 
@@ -326,7 +328,7 @@ class Grouper:
             self._adopt(cls, url)
             if signature is not None and self._sketch_index is not None:
                 with cls.lock:
-                    cls.note_signature(signature, document)
+                    cls.presketch(document, signature)
                 self._sketch_index.register(cls.class_id, signature)
             with self._stats_lock:
                 self.stats.created += 1
@@ -364,32 +366,27 @@ class Grouper:
                 self._store.record_hits(cls.class_id, hits)
 
     def refresh_sketch(self, cls: DocumentClass) -> "tuple[int, ...] | None":
-        """Re-register ``cls`` in the LSH index if its base changed.
+        """Re-register ``cls`` in the LSH index if its match base changed.
 
         Caller holds ``cls.lock`` (the engine's ingest path) or owns the
         class exclusively (warm restart).  Cheap when nothing changed: the
-        cached signature is keyed by base object identity, so the common
-        case is two attribute reads.  Returns the current signature (what
-        the store should persist alongside the committed base), or None
-        for the scan reference / a base-less class.
+        signature lives on the base record, so the common case is two
+        attribute reads.  Returns the current signature (what the store
+        should persist alongside the committed base), or None for the scan
+        reference / a base-less class.
         """
         if self._sketch_index is None or self._sketcher is None:
             return None
-        base = cls.distributable_base if cls.can_serve_deltas else cls.raw_base
+        base = cls.match_base
         if base is None:
-            # release_base()/quarantine() clear the cached signature before
-            # this runs, so unregister unconditionally (it is idempotent) —
-            # a base-less class must not linger in the candidate index.
-            cls.note_signature(None, None)
+            # Unregister unconditionally (it is idempotent): a base-less
+            # class must not linger in the candidate index.
             self._sketch_index.unregister(cls.class_id)
             return None
-        cached = cls.signature_for(base)
-        if cached is not None:
-            return cached
-        signature = self._sketcher.signature(base)
-        cls.note_signature(signature, base)
-        self._sketch_index.register(cls.class_id, signature)
-        return signature
+        if base.signature is None:
+            base.signature = self._sketcher.signature(base.body)
+            self._sketch_index.register(cls.class_id, base.signature)
+        return base.signature
 
     def _search(
         self,

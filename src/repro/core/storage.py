@@ -85,14 +85,7 @@ def class_storage_bytes(cls: DocumentClass) -> int:
 
     Callers that may race class mutation must hold ``cls.lock``.
     """
-    total = len(cls.raw_base or b"")
-    distributable = cls.distributable_base
-    if distributable is not None and distributable is not cls.raw_base:
-        total += len(distributable)
-    if cls.previous_version is not None:
-        previous = cls.base_for_version(cls.previous_version)
-        total += len(previous or b"")
-    return total
+    return sum(len(base.body) for base in cls.bases())
 
 
 class StorageManager:

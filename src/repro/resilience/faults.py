@@ -1,11 +1,9 @@
 """Structured fault injection for the origin path.
 
-The serving stack's original injection point was a single bare callable
-(``FaultHook``): it could swap a response, and nothing else.  Real origin
-failures are richer — error *bursts* during a deploy, latency spikes when
-a database fails over, slow-drip responses from an overloaded backend,
-bit-rot in a payload, connections reset mid-flight — and they arrive on a
-schedule, not uniformly.  A :class:`FaultPlan` models exactly that: a
+Real origin failures are more than a swapped response — error *bursts*
+during a deploy, latency spikes when a database fails over, slow-drip
+responses from an overloaded backend, bit-rot in a payload, connections
+reset mid-flight — and they arrive on a schedule, not uniformly.  A :class:`FaultPlan` models exactly that: a
 composable, seeded list of :class:`FaultRule` entries, each with an
 injection probability, an optional activation window (seconds relative to
 the plan's arming instant), and an optional URL filter.

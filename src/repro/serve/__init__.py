@@ -31,7 +31,7 @@ Modules:
 
 from repro.serve.executor import KINDS as EXECUTOR_KINDS
 from repro.serve.executor import DeltaExecutor
-from repro.serve.gateway import FaultHook, GatewayStats, OriginGateway
+from repro.serve.gateway import GatewayStats, OriginGateway
 from repro.serve.loadgen import (
     LoadGenConfig,
     LoadGenerator,
@@ -66,7 +66,6 @@ __all__ = [
     "DeltaHTTPServer",
     "EXECUTOR_KINDS",
     "HEALTH_PATH",
-    "FaultHook",
     "GatewayStats",
     "HEADER_BODY_DIGEST",
     "HEADER_SERVED_AT",

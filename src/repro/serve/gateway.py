@@ -2,20 +2,14 @@
 
 In Fig. 2 the delta-server sits *next to* the origin web-server; this
 gateway is that adjacency for the live stack: it hands requests to a
-:class:`~repro.origin.server.OriginServer` and exposes the injection
-points for robustness testing:
-
-* **fault plan** — a :class:`~repro.resilience.faults.FaultPlan`: a
-  structured, seeded, schedulable composition of error bursts, latency
-  (a fixed delay plus uniform jitter per fetch, modelling a backend that
-  is not colocated), slow-drip responses, payload corruption, and
-  connection resets (drives the retry/breaker/degradation machinery and
-  the per-request-timeout path end to end);
-* **fault hook** — the legacy single callable that may substitute an
-  error response for any request; still supported, and hardened: a hook
-  that *raises* is converted into an injected 500 and counted
-  (``hook_failures``) instead of escaping with the gateway lock's stats
-  half-updated and killing the worker request.
+:class:`~repro.origin.server.OriginServer` and injects the faults of a
+:class:`~repro.resilience.faults.FaultPlan` for robustness testing — a
+structured, seeded, schedulable composition of error bursts (optionally
+URL-filtered), latency (a fixed delay plus uniform jitter per fetch,
+modelling a backend that is not colocated), slow-drip responses, payload
+corruption, and connection resets, which drives the
+retry/breaker/degradation machinery and the per-request-timeout path end
+to end.
 
 :meth:`OriginGateway.fetch` is the one fetch; it waits through the
 injected ``sleep`` (``asyncio.sleep``, or ``blocking_sleep`` when the
@@ -37,10 +31,6 @@ from repro.metrics.stats import counter
 from repro.origin.server import OriginServer
 from repro.resilience.faults import FaultAction, FaultPlan
 
-#: May return a Response to inject in place of the origin's (fault), or
-#: None to let the request through.
-FaultHook = Callable[[Request], Response | None]
-
 
 @dataclass(slots=True)
 class GatewayStats:
@@ -49,7 +39,6 @@ class GatewayStats:
     fetches: int = counter("origin fetches through the gateway")
     faults_injected: int = counter("fetches answered by an injected fault")
     injected_latency_seconds: float = counter("latency injected into fetches")
-    hook_failures: int = counter("fault hooks that raised (answered as a 500)")
     resets_injected: int = counter("fetches failed by an injected reset")
     corruptions_injected: int = counter("origin bodies corrupted on purpose")
     drip_seconds: float = counter("delay injected by slow-drip responses")
@@ -62,12 +51,10 @@ class OriginGateway:
         self,
         origin: OriginServer,
         *,
-        fault_hook: FaultHook | None = None,
         fault_plan: FaultPlan | None = None,
         sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
     ) -> None:
         self.origin = origin
-        self.fault_hook = fault_hook
         self.fault_plan = fault_plan
         self.stats = GatewayStats()
         self._sleep = sleep
@@ -83,17 +70,6 @@ class OriginGateway:
             if action.response is not None:
                 self.stats.faults_injected += 1
                 return action.response
-            if self.fault_hook is not None:
-                try:
-                    injected = self.fault_hook(request)
-                except Exception:
-                    # A buggy hook must read as an origin fault, not kill
-                    # the worker request with the stats half-updated.
-                    self.stats.hook_failures += 1
-                    return Response(status=500, body=b"fault hook raised")
-                if injected is not None:
-                    self.stats.faults_injected += 1
-                    return injected
         # The render runs outside the gateway lock: OriginServer is
         # thread-safe and rendering is the expensive part of a fetch.
         response = self.origin.handle(request, now)

@@ -77,12 +77,10 @@ VerifyRender = Callable[[str, str, float], bytes | None]
 class LoadGenConfig:
     """Knobs of one load-generation run."""
 
+    #: where TCP connections go — a server or a proxy tier in front of
+    #: one; the Host header comes from each trace URL, not from here
     host: str = "127.0.0.1"
     port: int = 0
-    #: connect here instead of ``host:port`` (route through a proxy tier);
-    #: URLs and Host headers are unchanged — the proxy forwards upstream
-    proxy_host: str | None = None
-    proxy_port: int | None = None
     mode: str = "closed"  # "closed" | "open"
     #: closed loop: worker count; open loop: connection-pool ceiling
     concurrency: int = 8
@@ -104,19 +102,14 @@ class LoadGenConfig:
             raise ValueError("concurrency must be >= 1")
         if self.rate <= 0:
             raise ValueError("rate must be > 0")
+        if self.max_requests is not None and self.max_requests < 0:
+            raise ValueError("max_requests must be >= 0")
+        if self.request_timeout <= 0:
+            raise ValueError("request_timeout must be > 0")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         if self.retry_backoff < 0 or self.retry_backoff_cap < 0:
             raise ValueError("retry backoff values must be >= 0")
-        if (self.proxy_host is None) != (self.proxy_port is None):
-            raise ValueError("proxy_host and proxy_port must be set together")
-
-    @property
-    def connect_address(self) -> tuple[str, int]:
-        """Where TCP connections actually go (the proxy when configured)."""
-        if self.proxy_host is not None and self.proxy_port is not None:
-            return self.proxy_host, self.proxy_port
-        return self.host, self.port
 
 
 @dataclass(slots=True)
@@ -370,7 +363,9 @@ class LoadGenerator:
     # -- request execution -----------------------------------------------------
 
     async def _connect(self) -> _Connection:
-        reader, writer = await asyncio.open_connection(*self.config.connect_address)
+        reader, writer = await asyncio.open_connection(
+            self.config.host, self.config.port
+        )
         return _Connection(reader, writer)
 
     def _retry_delay(self, attempt: int) -> float:

@@ -73,7 +73,7 @@ from repro.serve.aio import (  # noqa: F401 — the two paths are public names h
     ServerShell,
 )
 from repro.serve.executor import DeltaExecutor
-from repro.serve.gateway import FaultHook, OriginGateway
+from repro.serve.gateway import OriginGateway
 from repro.serve.protocol import (
     HEADER_BODY_DIGEST,
     HEADER_SERVED_AT,
@@ -303,7 +303,6 @@ def build_server(
     *,
     mode: str = "delta",
     config: DeltaServerConfig | None = None,
-    fault_hook: FaultHook | None = None,
     fault_plan: FaultPlan | None = None,
     resilience: ResilienceConfig | None = None,
     executor_kind: str = "thread",
@@ -331,9 +330,7 @@ def build_server(
 
     site_list = list(sites)
     origin = OriginServer(site_list)
-    gateway = OriginGateway(
-        origin, fault_hook=fault_hook, fault_plan=fault_plan, sleep=blocking_sleep
-    )
+    gateway = OriginGateway(origin, fault_plan=fault_plan, sleep=blocking_sleep)
     # One registry across the stack: engine stage timings, resilience
     # attempt/backoff histograms, and serve-layer write timings all land
     # in the same /__metrics__ exposition.

@@ -45,7 +45,7 @@ def corrupt_base(cls) -> None:
     """Simulate storage bit-rot in the distributable base."""
     body = bytearray(cls.distributable_base)
     body[len(body) // 2] ^= 0xFF
-    cls._distributable = bytes(body)
+    cls.current.body = bytes(body)
 
 
 class TestIntegrity:
@@ -122,7 +122,7 @@ class TestQuarantine:
         monkeypatch.setattr(
             type(server._encoder), "encode_stream_with_index", boom
         )
-        cls.encode_cache.clear()
+        cls.current.deltas.clear()
         response = server.handle(req(url, "u9", accept=ref), now=10.0)
         assert response.status == 200
         assert not response.is_delta

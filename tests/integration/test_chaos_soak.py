@@ -110,7 +110,7 @@ def test_chaos_soak():
             victim = servable[0]
             body = bytearray(victim.distributable_base)
             body[len(body) // 2] ^= 0xFF
-            victim._distributable = bytes(body)
+            victim.current.body = bytes(body)
 
             # Phase 3 — chaos: 10% origin errors + latency spikes, clients
             # retrying.  Everything must still complete and verify.

@@ -327,8 +327,8 @@ class TestLoadgenThroughProxy:
 
                     def config():
                         return LoadGenConfig(
-                            proxy_host=proxy.address[0],
-                            proxy_port=proxy.port,
+                            host=proxy.address[0],
+                            port=proxy.port,
                             concurrency=4,
                             verify=True,
                         )

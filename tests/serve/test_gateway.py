@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.http.messages import Request, Response
+from repro.http.messages import Request
 from repro.http.sync import blocking_sleep, run_sync
 from repro.origin.server import OriginServer
 from repro.origin.site import SiteSpec, SyntheticSite
@@ -57,13 +57,11 @@ def test_jitter_stays_in_band(origin):
     assert len(set(delays)) > 1
 
 
-def test_fault_hook_substitutes_response(origin):
-    def hook(request: Request) -> Response | None:
-        if "id=0" in request.url:
-            return Response(status=503, body=b"injected outage")
-        return None
-
-    gateway = OriginGateway(origin, fault_hook=hook)
+def test_matched_error_rule_substitutes_response(origin):
+    plan = FaultPlan(
+        [FaultRule(kind="error", match="id=0", status=503, body=b"injected outage")]
+    )
+    gateway = OriginGateway(origin, fault_plan=plan)
     url = first_url(origin)
     assert "id=0" in url
     response = run_sync(gateway.fetch(Request(url=url), now=0.0))
@@ -80,24 +78,6 @@ def test_negative_latency_rejected(origin):
         FaultRule(kind="latency", delay=-1.0)
     with pytest.raises(ValueError):
         FaultRule(kind="latency", jitter=-0.1)
-
-
-def test_raising_fault_hook_becomes_injected_500(origin):
-    calls = []
-
-    def hook(request: Request) -> Response | None:
-        calls.append(request.url)
-        raise RuntimeError("hook bug")
-
-    gateway = OriginGateway(origin, fault_hook=hook)
-    response = run_sync(gateway.fetch(Request(url=first_url(origin)), now=0.0))
-    assert response.status == 500
-    assert response.body == b"fault hook raised"
-    assert gateway.stats.hook_failures == 1
-    assert gateway.stats.faults_injected == 0
-    assert len(calls) == 1
-    # The gateway survives: the next fetch works normally.
-    assert gateway.stats.fetches == 1
 
 
 def test_fault_plan_error_rule(origin):
