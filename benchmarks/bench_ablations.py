@@ -181,7 +181,6 @@ def bench_ablation_popularity_split(benchmark):
                 anonymization=AnonymizationConfig(enabled=False),
                 policy=FirstResponsePolicy(),
                 encoder=encoder,
-                estimator=estimator,
             )
 
         grouper = Grouper(

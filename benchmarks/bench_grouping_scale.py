@@ -113,7 +113,6 @@ def make_grouper(policy: str, estimator: LightEstimator) -> Grouper:
             anonymization=AnonymizationConfig(enabled=False),
             policy=FirstResponsePolicy(),
             encoder=encoder,
-            estimator=estimator,
         )
 
     return Grouper(
@@ -157,7 +156,8 @@ def run_policy(
             continue
         document = skeletons[family] + tails[n]
         with cls.lock:
-            index = cls.light_index()
+            base = cls.match_base
+            index = base.light_index(estimator) if base is not None and base.body else None
         if index is None:
             continue
         estimate = estimator.estimate_with_index(index, document)

@@ -94,7 +94,7 @@ def main() -> None:
             len(cls.members),
             cls.popularity,
             cls.stats.deltas_served,
-            len(cls.distributable_base or b""),
+            len(cls.current.body) if cls.current else 0,
         ]
         for cls in classes[:5]
     ]

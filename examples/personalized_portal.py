@@ -77,10 +77,10 @@ def main() -> None:
     print("\nprivacy audit of every distributable base-file:")
     leaks = 0
     for cls in simulation.server.grouper.classes:
-        for version in {cls.version, cls.previous_version} - {None}:
-            base = cls.base_for_version(version)
-            if not base:
+        for record in (cls.previous, cls.servable(cls.version)):
+            if record is None or not record.body:
                 continue
+            version, base = record.version, record.body
             cards = find_card_numbers(base)
             leaks += len(cards)
             status = "LEAK: " + str(cards) if cards else "clean"

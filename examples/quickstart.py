@@ -46,7 +46,7 @@ def main() -> None:
         other.get(url, now=10.0 + i)
     cls = server.class_of(url)
     print(f"       class {cls.class_id}: version {cls.version}, "
-          f"base-file {len(cls.distributable_base):,} bytes (anonymized)\n")
+          f"base-file {len(cls.current.body):,} bytes (anonymized)\n")
 
     print("t=120  alice revisits: full response again, but now tagged with")
     print("       the class reference, so she picks up the shared base-file")

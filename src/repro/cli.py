@@ -232,7 +232,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         else None
     )
     resilience = ResilienceConfig(
-        enabled=not args.no_resilience,
         retries=args.origin_retries,
         deadline=args.origin_deadline,
         breaker_failure_threshold=args.breaker_threshold,
@@ -264,8 +263,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             config=config,
             fault_plan=fault_plan,
             resilience=resilience,
-            executor_kind=args.executor,
-            executor_workers=args.executor_workers,
             state_dir=args.state_dir,
             snapshot_every=args.snapshot_every,
             fleet=fleet_config,
@@ -311,16 +308,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     with contextlib.suppress(asyncio.CancelledError):
                         await snapshot_task
             print(server.stats.render(server.clock()), flush=True)
-            if server.resilience is not None:
-                snapshot = server.resilience.snapshot()
-                breaker = snapshot["breaker"]
-                policy = snapshot["policy"]
-                print(
-                    f"origin resilience: breaker={breaker['state']} "
-                    f"(opened {breaker['opened']}x, reclosed {breaker['reclosed']}x), "
-                    f"retries={policy['retries']}, fast-fails={policy['fast_fails']}",
-                    flush=True,
-                )
+            snapshot = server.resilience.snapshot()
+            breaker = snapshot["breaker"]
+            policy = snapshot["policy"]
+            print(
+                f"origin resilience: breaker={breaker['state']} "
+                f"(opened {breaker['opened']}x, reclosed {breaker['reclosed']}x), "
+                f"retries={policy['retries']}, fast-fails={policy['fast_fails']}",
+                flush=True,
+            )
         if server.drain_report is not None:
             drained = server.drain_report
             print(
@@ -345,7 +341,6 @@ def _fleet_worker_passthrough(args: argparse.Namespace) -> list[str]:
         "--max-connections", str(args.max_connections),
         "--request-timeout", str(args.request_timeout),
         "--drain-timeout", str(args.drain_timeout),
-        "--executor", args.executor,
         "--origin-retries", str(args.origin_retries),
         "--origin-deadline", str(args.origin_deadline),
         "--breaker-threshold", str(args.breaker_threshold),
@@ -353,13 +348,9 @@ def _fleet_worker_passthrough(args: argparse.Namespace) -> list[str]:
         "--anon-n", str(args.anon_n),
         "--anon-m", str(args.anon_m),
     ]
-    if args.executor_workers is not None:
-        flags += ["--executor-workers", str(args.executor_workers)]
     if args.fault_plan:
         flags += ["--fault-plan", args.fault_plan,
                   "--fault-seed", str(args.fault_seed)]
-    if args.no_resilience:
-        flags.append("--no-resilience")
     if args.snapshot_every is not None:
         flags += ["--snapshot-every", str(args.snapshot_every)]
     if args.metrics_interval:
@@ -370,6 +361,15 @@ def _fleet_worker_passthrough(args: argparse.Namespace) -> list[str]:
 def cmd_serve_fleet(args: argparse.Namespace) -> int:
     """``serve --workers N``: run the supervised multi-process fleet."""
     from repro.fleet import FleetConfig, FleetSupervisor
+
+    if args.max_requests is not None:
+        # Workers are not told the limit and the supervisor counts no
+        # requests: refuse rather than run forever under a limit.
+        print(
+            "serve: --max-requests is not supported with --workers",
+            file=sys.stderr,
+        )
+        return 2
 
     config = FleetConfig(
         workers=args.workers,
@@ -651,16 +651,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-connections", type=int, default=255,
                        help="connection-slot ceiling (paper: 255)")
     serve.add_argument("--request-timeout", type=float, default=30.0)
-    serve.add_argument("--executor", default="thread", choices=["thread", "sync"],
-                       help="where delta generation runs")
-    serve.add_argument("--executor-workers", type=int, default=None,
-                       help="thread-pool size (default: min(64, 4 x cores))")
     serve.add_argument("--fault-plan", default=None,
                        help="structured fault injection, e.g. "
                        "'error:rate=0.1,status=500;latency:delay=0.2,jitter=0.1'")
     serve.add_argument("--fault-seed", type=int, default=23)
-    serve.add_argument("--no-resilience", action="store_true",
-                       help="disable origin retries/backoff and the circuit breaker")
     serve.add_argument("--origin-retries", type=int, default=2,
                        help="origin retry attempts per request")
     serve.add_argument("--origin-deadline", type=float, default=10.0,

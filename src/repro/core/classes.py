@@ -10,7 +10,13 @@ classes, and a single base-file is stored at the server per class"
   selection policy), the *current* distributable base-file (the anonymized
   version clients may hold) and the *previous* distributable generation,
   with a version number bumped on every promotion so stale client copies
-  are detectable.
+  are detectable;
+* its base-file selection policy and its :class:`RebaseController`, which
+  :meth:`DocumentClass.ingest` runs on every fresh document (Section IV:
+  each class has its own samples, incumbent, rebase timeout and drift
+  trigger);
+* its quarantine flag, the one record of whether it is out of delta
+  service.
 
 Everything derived from one base-file — its differ indexes, MinHash
 signature, integrity checksum and encoded deltas — lives on that file's
@@ -32,7 +38,8 @@ from dataclasses import dataclass
 
 from repro.core.anonymize import AnonymizationState, Anonymizer
 from repro.core.base_file import BaseFilePolicy
-from repro.core.config import AnonymizationConfig
+from repro.core.config import AnonymizationConfig, BaseFileConfig
+from repro.core.rebase import RebaseController
 from repro.delta.codec import checksum
 from repro.delta.light import LightEstimator
 from repro.delta.vdelta import BaseIndex, VdeltaEncoder
@@ -148,7 +155,7 @@ class DocumentClass:
         anonymization: AnonymizationConfig,
         policy: BaseFilePolicy,
         encoder: VdeltaEncoder,
-        estimator: LightEstimator,
+        rebase: RebaseController | None = None,
         created_at: float = 0.0,
     ) -> None:
         self.class_id = class_id
@@ -156,21 +163,22 @@ class DocumentClass:
         self.hint = hint
         self.created_at = created_at
         self.policy = policy
+        #: the class's own rebase triggers (delta-ratio EWMA, timeout)
+        self.rebase = rebase or RebaseController(BaseFileConfig())
         self.stats = ClassStats()
         self.members: set[str] = set()
         self.last_rebase_at = created_at
 
         # The sharded engine's unit of mutual exclusion: every mutation of
-        # class state (membership, base lifecycle, policy samples, index
-        # caches) happens under this lock, taken by the engine/grouper —
-        # the methods below do not take it themselves, so lock-holding
-        # callers can compose them freely.  Reentrant because composite
-        # operations (ingest → rebase → adopt) nest helper calls.
+        # class state (membership, base lifecycle, policy samples, rebase
+        # state, index caches) happens under this lock, taken by the
+        # engine/grouper — the methods below do not take it themselves, so
+        # lock-holding callers can compose them freely.  Reentrant because
+        # composite operations (ingest → rebase → adopt) nest helper calls.
         self.lock = threading.RLock()
 
         self._anon_config = anonymization
         self._encoder = encoder
-        self._estimator = estimator
 
         # The three base-file slots (module docstring).  Invariant: a held
         # ``current`` carries ``self.version``; ``previous`` is only held
@@ -227,33 +235,7 @@ class DocumentClass:
         """
         return self.current if self.can_serve_deltas else self.raw
 
-    @property
-    def base_signature(self) -> "tuple[int, ...] | None":
-        """The match base's MinHash signature, once the grouper has it."""
-        base = self.match_base
-        return base.signature if base is not None else None
-
     # -- base-file lifecycle ---------------------------------------------------
-
-    @property
-    def raw_base(self) -> bytes | None:
-        """The currently adopted (possibly not yet distributable) base-file."""
-        return self.raw.body if self.raw is not None else None
-
-    @property
-    def distributable_base(self) -> bytes | None:
-        """The anonymized base-file clients may cache, or ``None``."""
-        return self.current.body if self.current is not None else None
-
-    @property
-    def distributable_checksum(self) -> int | None:
-        """Promotion-time adler32 of the current distributable base."""
-        return self.current.checksum if self.current is not None else None
-
-    @property
-    def previous_version(self) -> int | None:
-        """Version number of the still-servable previous base, if any."""
-        return self.previous.version if self.previous is not None else None
 
     @property
     def can_serve_deltas(self) -> bool:
@@ -298,6 +280,48 @@ class DocumentClass:
         if self._pending.state is AnonymizationState.READY:
             self._promote(self._pending)
 
+    def ingest(self, document: bytes, user_id: str | None, now: float) -> str | None:
+        """Run one fresh origin document through the class's lifecycle.
+
+        The selection policy samples it.  A base-less class (new, released
+        or quarantined) adopts it as its base-file; otherwise it feeds any
+        pending anonymization and then the rebase policy decides.  Returns
+        what happened: ``"recovered"`` (a quarantined class re-adopted),
+        ``"basic"`` or ``"group"`` (a rebase), or None.  Caller holds
+        ``self.lock``.
+        """
+        self.policy.observe(document, user_id)
+        if self.raw is None:
+            # The class is born with this response as its base-file (the
+            # simplest scheme); a storage-released or quarantined class
+            # re-adopts the same way.  The policy may replace it later.
+            recovered = self.quarantined
+            self.adopt_base(document, owner_user=user_id, now=now)
+            return "recovered" if recovered else None
+        self.feed(document, user_id)
+        if self.anonymization_pending:
+            # A rebase is already in flight (its base is being anonymized);
+            # re-triggering would restart the user-collection window forever
+            # and the class would never finish a transition.
+            return None
+        decision = self.rebase.check(
+            self.policy, self.raw.body, document, now, self.last_rebase_at
+        )
+        if decision is None:
+            return None
+        if decision.kind == "basic":
+            # "When a basic-rebase takes place, all K stored documents are
+            # flushed."
+            self.policy.flush()
+            self.adopt_base(decision.new_base, owner_user=user_id, now=now)
+            self.stats.basic_rebases += 1
+        else:
+            owner = self.policy.current_owner()
+            self.adopt_base(decision.new_base, owner_user=owner, now=now)
+            self.stats.group_rebases += 1
+        self.rebase.reset()
+        return decision.kind
+
     def _promote(self, anonymizer: Anonymizer) -> None:
         anonymized = anonymizer.anonymized
         assert anonymized is not None and self.raw is not None
@@ -319,17 +343,6 @@ class DocumentClass:
             if base is not None and base.version == version:
                 return base
         return None
-
-    def base_for_version(self, version: int) -> bytes | None:
-        """The distributable base matching ``version`` (current or previous)."""
-        base = self.servable(version)
-        return base.body if base is not None else None
-
-    def integrity_ok(self, version: int) -> bool:
-        """Whether the stored base for ``version`` still matches its
-        promotion-time checksum (False = corrupted or absent)."""
-        base = self.servable(version)
-        return base is not None and base.intact()
 
     def bases(self) -> list[Base]:
         """The distinct records this class holds (raw may be current)."""
@@ -395,29 +408,6 @@ class DocumentClass:
         self.version = version
         self._pending = None
         self.quarantined = False
-
-    # -- index caching -----------------------------------------------------------
-
-    def full_index(self) -> BaseIndex:
-        """Cached full-differ index over the distributable base."""
-        if not self.can_serve_deltas:
-            raise RuntimeError(f"class {self.class_id} has no distributable base")
-        assert self.current is not None
-        return self.current.full_index(self._encoder)
-
-    def full_index_for(self, version: int) -> BaseIndex | None:
-        """Cached index for a served base version (current or previous)."""
-        base = self.servable(version)
-        if base is None or (base is self.current and not self.can_serve_deltas):
-            return None
-        return base.full_index(self._encoder)
-
-    def light_index(self) -> BaseIndex | None:
-        """Cached light-estimator index over the match base."""
-        base = self.match_base
-        if base is None or not base.body:
-            return None
-        return base.light_index(self._estimator)
 
     def __repr__(self) -> str:
         return (

@@ -10,11 +10,11 @@ Per request the engine:
 
 1. fetches the current document snapshot from the origin;
 2. groups the request into a document class (:mod:`repro.core.grouping`);
-3. feeds the document to the class's base-file selection policy and to any
-   pending anonymization;
-4. applies rebase policy (group-rebase on timeout + better candidate,
-   basic-rebase on persistently large deltas);
-5. answers with a compressed delta when the client holds the class's
+3. hands the document to its class (:meth:`DocumentClass.ingest`), which
+   feeds its base-file selection policy and any pending anonymization and
+   applies its own rebase policy (group-rebase on timeout + better
+   candidate, basic-rebase on persistently large deltas);
+4. answers with a compressed delta when the client holds the class's
    current distributable base-file, and with the full document otherwise
    (tagging the response with the class reference so the client can fetch
    the — cachable — base-file for next time).
@@ -45,8 +45,10 @@ benchmark's baseline does):
   grouper — light-estimate probes for different sites run in parallel;
   racing first-requests for one URL cannot fork a class.
 * **Class state is guarded by per-class locks**: membership, base-file
-  lifecycle, policy samples, and rebase decisions for one class never
-  block requests of another class.
+  lifecycle, policy samples, rebase state and the quarantine flag all
+  live on the :class:`DocumentClass` (which applies its own rebases in
+  :meth:`DocumentClass.ingest`), so one class's work never blocks
+  requests of another class.
 * **Delta generation is lock-free via snapshot-encode-commit**: the base
   record and its index are snapshotted under the class lock, the Vdelta
   encode and deflate compress run outside every lock (both are byte-level
@@ -58,10 +60,11 @@ benchmark's baseline does):
   accounting stays exact under contention without a shared hot lock;
   ``stats`` materializes a :class:`ServerStats` snapshot on read.
 
-Lock ordering (to stay deadlock-free): shard lock → class lock →
-health lock; storage-manager lock → class lock.  No path acquires two
-class locks at once, and nothing takes a shard or storage lock while
-holding a class lock.
+Lock ordering (to stay deadlock-free): shard lock → class lock;
+storage-manager lock → class lock.  No path acquires two class locks at
+once, and nothing takes a shard or storage lock while holding a class
+lock.  The health probe takes none of them: it reads each class's
+``quarantined`` flag without a lock.
 
 Persistence
 -----------
@@ -119,6 +122,14 @@ from repro.store.store import Store, StoreError, _class_sort
 from repro.url.rules import RuleBook
 
 BASE_FILE_SEGMENT = "__delta_base__"
+
+#: The :class:`ServerStats` counter each :meth:`DocumentClass.ingest`
+#: outcome adds one to.
+INGEST_COUNTERS = {
+    "recovered": "quarantine_recoveries",
+    "basic": "basic_rebases",
+    "group": "group_rebases",
+}
 
 #: How many times a delta commit that lost a rebase race is retried against
 #: the new base version before falling back to a full response.
@@ -226,11 +237,6 @@ class DeltaServer:
         #: the persistent pack/journal store, or None when persistence is
         #: off (then no store call is made anywhere in the engine)
         self.store = store
-        # Quarantine membership has its own tiny lock so health probes
-        # never wait behind a class lock mid-encode or a struggling
-        # origin fetch.
-        self._health_lock = threading.Lock()
-        self._quarantined: set[str] = set()
         self._rng = random.Random(self.config.seed)
         self._encoder = VdeltaEncoder()
         self._estimator = LightEstimator()
@@ -242,8 +248,6 @@ class DeltaServer:
         #: URLs can be routed to the owning worker without a directory
         self._class_id_prefix = class_id_prefix
         self._class_ids = itertools.count(1)
-        self._closed = False
-        self._controllers: dict[str, RebaseController] = {}
         self._counters = StripedCounters(STAT_FIELDS)
         self.storage = StorageManager(self.config.storage_budget_bytes, store=store)
         self.grouper = Grouper(
@@ -276,17 +280,15 @@ class DeltaServer:
         policy = RandomizedPolicy(
             self.config.base_file, self._light_size, self._rng
         )
-        cls = DocumentClass(
+        return DocumentClass(
             class_id=class_id,
             server=server,
             hint=hint,
             anonymization=self.config.anonymization,
             policy=policy,
             encoder=self._encoder,
-            estimator=self._estimator,
+            rebase=RebaseController(self.config.base_file),
         )
-        self._controllers[class_id] = RebaseController(self.config.base_file)
-        return cls
 
     def _rehydrate(self, store: Store) -> int:
         """Warm restart: rebuild classes, memberships and latest bases.
@@ -297,8 +299,11 @@ class DeltaServer:
         class created after the restart never collides with a persisted
         one.  A class whose on-disk chain fails materialization (checksum
         mismatch, torn frame) comes back *base-less* — it re-adopts from
-        its next origin fetch rather than ever serving damaged bytes.
-        Returns the number of classes restored.
+        its next origin fetch rather than ever serving damaged bytes.  A
+        base-less class resumes its version counter at the highest version
+        the store ever recorded, so re-adoption never mints a base ref a
+        client or proxy may still hold for other bytes.  Returns the
+        number of classes restored.
         """
         states = sorted(store.classes(), key=lambda st: _class_sort(st.class_id))
         for state in states:
@@ -314,6 +319,8 @@ class DeltaServer:
                 else:
                     entry = state.entries[state.latest]
                     cls.restore_base(document, state.latest, entry.doc_checksum)
+            if cls.current is None:
+                cls.version = state.high_version
             self.grouper.register(
                 cls, state.members, hits=state.hits, signature=state.sketch
             )
@@ -436,21 +443,9 @@ class DeltaServer:
         """Feed one fresh origin document into the class, under its lock."""
         with self._class_locked(cls, timings):
             current_before = cls.current
-            cls.policy.observe(document, request.user_id)
-            if cls.raw_base is None:
-                # The class is born with this response as its base-file
-                # (the simplest scheme); a storage-released or quarantined
-                # class re-adopts the same way.  The policy may replace
-                # the base later.
-                was_quarantined = cls.quarantined
-                cls.adopt_base(document, owner_user=request.user_id, now=now)
-                if was_quarantined:
-                    self._counters.inc("quarantine_recoveries")
-                    with self._health_lock:
-                        self._quarantined.discard(cls.class_id)
-            else:
-                cls.feed(document, request.user_id)
-                self._maybe_rebase(cls, document, request.user_id, now)
+            outcome = cls.ingest(document, request.user_id, now)
+            if outcome is not None:
+                self._counters.inc(INGEST_COUNTERS[outcome])
             # Keep the LSH candidate index in step with the base the
             # grouper probes: a no-op (two attribute reads) unless the
             # match base changed (adoption, promotion, rebase, release).
@@ -492,12 +487,14 @@ class DeltaServer:
     def health_snapshot(self) -> dict:
         """Self-healing and degradation state for the health endpoint.
 
-        Deliberately avoids every engine lock (a class lock may be held
-        across an encode) so a health probe never blocks behind a busy
-        class; counters are weakly-consistent striped reads.
+        Deliberately avoids every class lock (one may be held across an
+        encode) so a health probe never blocks behind a busy class: each
+        class's ``quarantined`` flag is read without one, and counters are
+        weakly-consistent striped reads.
         """
-        with self._health_lock:
-            quarantined = sorted(self._quarantined)
+        quarantined = sorted(
+            cls.class_id for cls in self.grouper.classes if cls.quarantined
+        )
         return {
             "classes": self.grouper.class_count(),
             "warm_start": self.rehydrated_classes > 0,
@@ -510,12 +507,9 @@ class DeltaServer:
     def close(self) -> None:
         """Flush and close the persistent store (no-op without one).
 
-        Idempotent: the serve layer's drain path and process-exit cleanup
-        can both reach this — the second and later calls do nothing.
+        Idempotent, as :meth:`Store.close` is: the serve layer's drain path
+        and process-exit cleanup can both reach this.
         """
-        if self._closed:
-            return
-        self._closed = True
         if self.store is not None:
             self.store.close()
 
@@ -557,41 +551,10 @@ class DeltaServer:
             self._counters.inc("integrity_failures")
         else:
             self._counters.inc("encode_failures")
-        with self._health_lock:
-            self._quarantined.add(cls.class_id)
         # Class lock → store lock: the persisted chain becomes garbage so
         # a restart cannot rehydrate the suspect bytes.
         if self.store is not None:
             self.store.quarantine(cls.class_id, cause)
-
-    def _maybe_rebase(
-        self, cls: DocumentClass, document: bytes, user_id: str | None, now: float
-    ) -> None:
-        """Apply rebase policy for one class.  Caller holds ``cls.lock``."""
-        if cls.anonymization_pending:
-            # A rebase is already in flight (its base is being anonymized);
-            # re-triggering would restart the user-collection window forever
-            # and the class would never finish a transition.
-            return
-        controller = self._controllers[cls.class_id]
-        decision = controller.check(
-            cls.policy, cls.raw_base, document, now, cls.last_rebase_at
-        )
-        if decision is None:
-            return
-        if decision.kind == "basic":
-            # "When a basic-rebase takes place, all K stored documents are
-            # flushed."
-            cls.policy.flush()
-            cls.adopt_base(decision.new_base, owner_user=user_id, now=now)
-            cls.stats.basic_rebases += 1
-            self._counters.inc("basic_rebases")
-        else:
-            owner = cls.policy.current_owner()
-            cls.adopt_base(decision.new_base, owner_user=owner, now=now)
-            cls.stats.group_rebases += 1
-            self._counters.inc("group_rebases")
-        controller.reset()
 
     # -- snapshot / encode / commit ------------------------------------------------
 
@@ -772,8 +735,7 @@ class DeltaServer:
             slot = cls.current if plan.served_current else cls.previous
             if slot is not plan.base:
                 return "conflict", None
-            controller = self._controllers[cls.class_id]
-            controller.note_delta(wire_size, len(document))
+            cls.rebase.note_delta(wire_size, len(document))
             if len(payload) >= len(document):
                 # Degenerate delta (base drifted badly); the full document
                 # is cheaper.  The controller already saw the bad ratio,

@@ -520,7 +520,12 @@ class Grouper:
         duration of a diff.
         """
         with cls.lock:
-            index = cls.light_index()
+            base = cls.match_base
+            index = (
+                base.light_index(self._estimator)
+                if base is not None and base.body
+                else None
+            )
         if index is None:
             return None
         return self._estimator.estimate_with_index(index, document)

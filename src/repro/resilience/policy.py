@@ -72,7 +72,6 @@ class OriginUnavailable(RuntimeError):
 class ResilienceConfig:
     """Knobs for the origin resilience policy (defaults are serving-safe)."""
 
-    enabled: bool = True
     #: retry attempts after the first try
     retries: int = 2
     backoff_base: float = 0.05

@@ -101,8 +101,7 @@ class DeltaHTTPServer(ServerShell):
         engine: DeltaServer | None = None,
         *,
         mode: str = "delta",
-        executor: DeltaExecutor | None = None,
-        resilience: ResilientOrigin | None = None,
+        resilience: ResilientOrigin,
         metrics: MetricsRegistry | None = None,
         router: FleetRouter | None = None,
         **shell_options: object,
@@ -135,9 +134,9 @@ class DeltaHTTPServer(ServerShell):
         self.mode = mode
         self.router = router
         self.stats = self.serve_stats
-        # The server owns its executor (shuts it down on close), whether
-        # constructed here or handed in.
-        self._executor = executor or DeltaExecutor("thread")
+        # Delta generation and plain fetches run on the server's own thread
+        # pool, shut down on close.
+        self._executor = DeltaExecutor("thread")
 
     async def close(self) -> None:
         """Drain the shell, then release the executor, peers and store.
@@ -182,8 +181,9 @@ class DeltaHTTPServer(ServerShell):
             self.router.note_local(request)
         try:
             if self.mode == "plain":
-                fetch = (self.resilience or self.gateway).fetch
-                response = await self._executor.run(run_sync, fetch(request, now))
+                response = await self._executor.run(
+                    run_sync, self.resilience.fetch(request, now)
+                )
             else:
                 assert self.engine is not None
                 response = await self._executor.run(
@@ -234,13 +234,10 @@ class DeltaHTTPServer(ServerShell):
         which is held across origin fetches), so the probe answers even
         while the origin is down and workers are mid-backoff.
         """
-        breaker_state = (
-            self.resilience.breaker.state if self.resilience is not None else None
-        )
         engine_health = (
             self.engine.health_snapshot() if self.engine is not None else None
         )
-        healthy = (breaker_state in (None, CLOSED)) and not (
+        healthy = self.resilience.breaker.state == CLOSED and not (
             engine_health and engine_health["quarantined"]
         )
         return {
@@ -254,9 +251,7 @@ class DeltaHTTPServer(ServerShell):
                 "unavailable": self.stats.degraded_unavailable,
             },
             "exceptions": dict(self.stats.exception_counts),
-            "resilience": (
-                self.resilience.snapshot() if self.resilience is not None else None
-            ),
+            "resilience": self.resilience.snapshot(),
             "engine": engine_health,
             "fleet": self.router.snapshot() if self.router is not None else None,
         }
@@ -285,16 +280,15 @@ class DeltaHTTPServer(ServerShell):
         if self.router is not None:
             lines += stats_lines(self.router.stats, "repro_fleet_")
         lines += stats_lines(self.gateway.stats, "repro_origin_gateway_")
-        if self.resilience is not None:
-            breaker = self.resilience.breaker
-            state = breaker.state
-            lines += stats_lines(self.resilience.stats, "repro_origin_")
-            lines += stats_lines(breaker.stats, "repro_breaker_")
-            lines += family_lines(
-                "gauge", "repro_breaker_state",
-                {name: int(name == state) for name in (CLOSED, OPEN, HALF_OPEN)},
-                label="state",
-            )
+        breaker = self.resilience.breaker
+        state = breaker.state
+        lines += stats_lines(self.resilience.stats, "repro_origin_")
+        lines += stats_lines(breaker.stats, "repro_breaker_")
+        lines += family_lines(
+            "gauge", "repro_breaker_state",
+            {name: int(name == state) for name in (CLOSED, OPEN, HALF_OPEN)},
+            label="state",
+        )
         return lines
 
 
@@ -305,8 +299,6 @@ def build_server(
     config: DeltaServerConfig | None = None,
     fault_plan: FaultPlan | None = None,
     resilience: ResilienceConfig | None = None,
-    executor_kind: str = "thread",
-    executor_workers: int | None = None,
     state_dir: str | Path | None = None,
     snapshot_every: int | None = None,
     fleet: FleetWorkerConfig | None = None,
@@ -316,10 +308,9 @@ def build_server(
 
     Mirrors :class:`repro.simulation.engine.Simulation`'s wiring — origin,
     admin rulebook from each site's hint pattern, engine — but in front of
-    real sockets instead of the simulated clock.  Origin access goes
+    real sockets instead of the simulated clock.  Origin access always goes
     through a :class:`ResilientOrigin` (retries, backoff, circuit breaker,
-    degradation) by default; pass ``ResilienceConfig(enabled=False)`` for
-    the raw gateway.
+    degradation), tuned by ``resilience``.
 
     ``state_dir`` switches on the persistent pack/journal store: class
     state and base-file version chains survive restarts (warm start —
@@ -335,13 +326,11 @@ def build_server(
     # attempt/backoff histograms, and serve-layer write timings all land
     # in the same /__metrics__ exposition.
     registry = MetricsRegistry()
-    resilience_config = resilience or ResilienceConfig()
-    resilient = (
-        ResilientOrigin(
-            gateway.fetch, resilience_config, sleep=blocking_sleep, metrics=registry
-        )
-        if resilience_config.enabled
-        else None
+    resilient = ResilientOrigin(
+        gateway.fetch,
+        resilience or ResilienceConfig(),
+        sleep=blocking_sleep,
+        metrics=registry,
     )
     engine = None
     router = None
@@ -363,7 +352,7 @@ def build_server(
                 metrics=registry,
             )
         engine = DeltaServer(
-            (resilient or gateway).fetch, config, rulebook, metrics=registry,
+            resilient.fetch, config, rulebook, metrics=registry,
             store=store,
             # Fleet workers mint ids under w<k>- so base-file URLs route
             # back to the worker that owns the class (and its shard).
@@ -371,12 +360,10 @@ def build_server(
                 worker_class_prefix(fleet.worker_id) if fleet is not None else ""
             ),
         )
-    executor = DeltaExecutor(executor_kind, max_workers=executor_workers)
     return DeltaHTTPServer(
         gateway,
         engine,
         mode=mode,
-        executor=executor,
         resilience=resilient,
         metrics=registry,
         router=router,

@@ -182,7 +182,7 @@ class Simulation:
             {url for cls in classes for url in cls.members}
         )
         report.class_storage_bytes = sum(
-            len(cls.raw_base or b"") for cls in classes
+            len(cls.raw.body) for cls in classes if cls.raw is not None
         )
         # Classless delta-encoding stores one base-file per document — and
         # per *user* for personalized pages; approximate with the rendered

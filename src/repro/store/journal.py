@@ -117,12 +117,21 @@ def hits_record(class_id: str, hits: int) -> dict:
     return {"type": REC_HITS, "class_id": class_id, "hits": hits}
 
 
-def release_record(class_id: str) -> dict:
-    return {"type": REC_RELEASE, "class_id": class_id}
+def release_record(class_id: str, version: int) -> dict:
+    """Drop a class's payloads; ``version`` is the highest base version the
+    class ever named, so its name is never minted again (a journal written
+    before the key existed reads as 0)."""
+    return {"type": REC_RELEASE, "class_id": class_id, "version": version}
 
 
-def quarantine_record(class_id: str, cause: str) -> dict:
-    return {"type": REC_QUARANTINE, "class_id": class_id, "cause": cause}
+def quarantine_record(class_id: str, cause: str, version: int) -> dict:
+    """As :func:`release_record`, for a class taken out of delta service."""
+    return {
+        "type": REC_QUARANTINE,
+        "class_id": class_id,
+        "cause": cause,
+        "version": version,
+    }
 
 
 def evict_record(class_id: str, versions: list[int]) -> dict:

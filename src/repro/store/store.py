@@ -54,7 +54,10 @@ Space reclamation
 materializable); ``release``/``quarantine`` drop a class's payloads
 entirely.  Garbage bytes stay in the pack until ``compact`` rewrites the
 live frames into a fresh generation and swaps ``CURRENT`` atomically —
-a crash mid-compaction leaves the old generation intact.
+a crash mid-compaction leaves the old generation intact.  Dropping bytes
+never drops a version *name*: each class keeps ``high_version``, carried
+by the release/quarantine records and re-emitted by compaction, so a
+restarted engine resumes numbering past every ref it ever published.
 """
 
 from __future__ import annotations
@@ -137,6 +140,10 @@ class ClassState:
     hits: int = 0
     #: MinHash signature of the latest committed base, if one was recorded
     sketch: list[int] | None = None
+    #: the largest version any base record of this class ever named;
+    #: release, quarantine and eviction never lower it, so a warm restart
+    #: never mints a base ref again for other bytes
+    high_version: int = 0
 
     @property
     def live_bytes(self) -> int:
@@ -197,6 +204,7 @@ class Index:
                 self.live_bytes -= replaced.length
             self.live_bytes += entry.length
             st.entries[entry.version] = entry
+            st.high_version = max(st.high_version, entry.version)
             if st.latest is None or entry.version >= st.latest:
                 st.latest = entry.version
                 # The sketch always describes the latest base; older
@@ -205,6 +213,7 @@ class Index:
                 st.sketch = sketch
             return entry
         elif rtype in (REC_RELEASE, REC_QUARANTINE):
+            st.high_version = max(st.high_version, int(record.get("version", 0)))
             self.live_bytes -= st.live_bytes
             st.entries.clear()
             st.latest = None
@@ -491,19 +500,23 @@ class Store:
         (the engine just released its in-memory bases; a fresh chain roots
         on the next good fetch).  Returns live bytes turned to garbage."""
         with self._lock:
-            return self._drop_payloads(quarantine_record(class_id, cause))
+            st = self._index.classes.get(class_id)
+            if st is None:
+                return 0
+            return self._drop_payloads(
+                st, quarantine_record(class_id, cause, st.high_version)
+            )
 
     def release(self, class_id: str) -> int:
         """Journal a storage-pressure base release; payloads become garbage."""
         with self._lock:
-            if class_id in self._index.classes:
-                self.stats.releases += 1
-            return self._drop_payloads(release_record(class_id))
+            st = self._index.classes.get(class_id)
+            if st is None:
+                return 0
+            self.stats.releases += 1
+            return self._drop_payloads(st, release_record(class_id, st.high_version))
 
-    def _drop_payloads(self, record: dict) -> int:
-        st = self._index.classes.get(record["class_id"])
-        if st is None:
-            return 0
+    def _drop_payloads(self, st: ClassState, record: dict) -> int:
         freed = st.live_bytes
         self._commit(record, sync=True)
         self._tips.pop(st.class_id, None)
@@ -681,6 +694,10 @@ class Store:
                         emit(member_record(class_id, url))
                     if st.hits:
                         emit(hits_record(class_id, st.hits))
+                    if st.high_version > (st.latest or 0):
+                        # Versions that are gone still name bytes someone
+                        # may hold: their high-water mark survives too.
+                        emit(release_record(class_id, st.high_version))
                     for version in sorted(st.entries):
                         entry = st.entries[version]
                         body = self._pack.read(entry.offset, entry.length)

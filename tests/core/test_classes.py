@@ -6,7 +6,6 @@ from repro.core.config import AnonymizationConfig
 from repro.delta.light import LightEstimator
 from repro.delta.vdelta import VdeltaEncoder
 
-import pytest
 
 
 def page(user: str) -> bytes:
@@ -24,7 +23,6 @@ def make_class(anon_documents=2, anon_enabled=True) -> DocumentClass:
         ),
         policy=FirstResponsePolicy(),
         encoder=VdeltaEncoder(),
-        estimator=LightEstimator(),
     )
 
 
@@ -39,7 +37,7 @@ class TestBaseLifecycle:
         cls.adopt_base(page("owner"), owner_user="owner", now=0.0)
         assert cls.can_serve_deltas
         assert cls.version == 1
-        assert cls.distributable_base == page("owner")
+        assert cls.current.body == page("owner")
 
     def test_promotion_after_n_users(self):
         cls = make_class(anon_documents=2)
@@ -50,48 +48,49 @@ class TestBaseLifecycle:
         cls.feed(page("u2"), "u2")
         assert cls.can_serve_deltas
         assert cls.version == 1
-        assert b"private-owner-token" not in cls.distributable_base
+        assert b"private-owner-token" not in cls.current.body
 
     def test_rebase_keeps_previous_distributable(self):
         cls = make_class(anon_documents=2)
         cls.adopt_base(page("owner"), owner_user="owner", now=0.0)
         cls.feed(page("u1"), "u1")
         cls.feed(page("u2"), "u2")
-        first_base = cls.distributable_base
+        first_base = cls.current.body
         # Rebase: previous base keeps serving during re-anonymization.
         cls.adopt_base(page("newowner"), owner_user="newowner", now=10.0)
-        assert cls.distributable_base == first_base
+        assert cls.current.body == first_base
         assert cls.version == 1
         cls.feed(page("u3"), "u3")
         cls.feed(page("u4"), "u4")
         assert cls.version == 2
-        assert cls.previous_version == 1
-        assert cls.base_for_version(1) == first_base
-        assert cls.base_for_version(2) == cls.distributable_base
-        assert cls.base_for_version(99) is None
+        assert cls.previous.version == 1
+        assert cls.servable(1).body == first_base
+        assert cls.servable(2) is cls.current
+        assert cls.servable(99) is None
 
     def test_full_index_for_versions(self):
         cls = make_class(anon_documents=1)
         cls.adopt_base(page("owner"), owner_user="owner", now=0.0)
         cls.feed(page("u1"), "u1")
-        assert cls.full_index_for(1) is not None
-        assert cls.full_index_for(5) is None
+        encoder = VdeltaEncoder()
+        assert cls.servable(1).full_index(encoder).base == cls.current.body
+        assert cls.servable(5) is None
         cls.adopt_base(page("o2"), owner_user="o2", now=1.0)
         cls.feed(page("u2"), "u2")
-        assert cls.full_index_for(2) is not None
-        assert cls.full_index_for(1) is not None  # previous generation
+        assert cls.servable(2).full_index(encoder).base == cls.current.body
+        # previous generation
+        assert cls.servable(1).full_index(encoder).base == cls.previous.body
 
     def test_full_index_requires_base(self):
         cls = make_class()
-        with pytest.raises(RuntimeError):
-            cls.full_index()
+        assert cls.current is None and cls.servable(cls.version) is None
 
     def test_light_index_uses_raw_base_before_promotion(self):
         cls = make_class(anon_documents=2)
-        assert cls.light_index() is None
+        assert cls.match_base is None
         cls.adopt_base(page("owner"), owner_user="owner", now=0.0)
-        index = cls.light_index()
-        assert index is not None
+        assert cls.match_base is cls.raw
+        index = cls.match_base.light_index(LightEstimator())
         assert index.base == page("owner")
 
 

@@ -86,7 +86,7 @@ class TestBasicFlow:
         assert response.delta_base_ref == ref
         # Reconstruct and compare against a direct origin render.
         cls = server.class_of(url)
-        base = cls.distributable_base
+        base = cls.current.body
         body = apply_delta(decompress(response.body), base)
         direct = origin.handle(req(url, "u9"), now=10.0).body
         assert body == direct
@@ -162,7 +162,7 @@ class TestBaseFileDistribution:
         url = site.url_for(page)
         warm_up(site, server, url)
         cls = server.class_of(url)
-        assert not find_card_numbers(cls.distributable_base)
+        assert not find_card_numbers(cls.current.body)
 
 
 class TestMalformedBaseFileUrls:
@@ -266,7 +266,7 @@ class TestRebaseTransition:
         assert response.is_delta
         assert response.delta_base_ref == old_ref
         assert response.base_file_ref == new_ref
-        body = apply_delta(decompress(response.body), cls.base_for_version(1))
+        body = apply_delta(decompress(response.body), cls.servable(1).body)
         assert body == origin.handle(req(url, "u9"), now=60.0).body
 
 

@@ -84,7 +84,7 @@ def test_concurrent_deltas_reconstruct_correctly():
     cls = server.class_of(url)
     assert cls is not None and cls.can_serve_deltas
     ref = f"{cls.class_id}/{cls.version}"
-    base = cls.distributable_base
+    base = cls.current.body
     failures: list[str] = []
     barrier = threading.Barrier(8)
 

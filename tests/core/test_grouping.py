@@ -50,7 +50,6 @@ def make_grouper(
             anonymization=AnonymizationConfig(enabled=False),
             policy=FirstResponsePolicy(),
             encoder=encoder,
-            estimator=estimator,
         )
         return cls
 
@@ -238,18 +237,18 @@ class TestSketchPolicy:
         grouper = make_grouper()
         cls, created = classify(grouper, "www.a.com/laptops?id=1", doc("laptops", 1))
         assert created
-        assert cls.base_signature is not None
-        assert grouper._sketch_index.candidates(cls.base_signature)[0] == cls.class_id
+        assert cls.match_base.signature is not None
+        assert grouper._sketch_index.candidates(cls.match_base.signature)[0] == cls.class_id
 
     def test_refresh_sketch_tracks_base_changes(self):
         grouper = make_grouper()
         cls, _ = classify(grouper, "www.a.com/laptops?id=1", doc("laptops", 1))
-        old = cls.base_signature
+        old = cls.match_base.signature
         with cls.lock:
             cls.adopt_base(doc("desktops", 5), owner_user=None, now=1.0)
             refreshed = grouper.refresh_sketch(cls)
         assert refreshed is not None and refreshed != old
-        assert cls.base_signature == refreshed
+        assert cls.match_base.signature == refreshed
         # The index moved the class to its new content's buckets.
         assert cls.class_id in grouper._sketch_index.candidates(refreshed)
         # And a second refresh with an unchanged base is a no-op.
@@ -259,11 +258,11 @@ class TestSketchPolicy:
     def test_refresh_sketch_unregisters_baseless_class(self):
         grouper = make_grouper()
         cls, _ = classify(grouper, "www.a.com/laptops?id=1", doc("laptops", 1))
-        sig = cls.base_signature
+        sig = cls.match_base.signature
         with cls.lock:
             cls.release_base()
             assert grouper.refresh_sketch(cls) is None
-        assert cls.base_signature is None
+        assert cls.match_base is None
         assert cls.class_id not in grouper._sketch_index.candidates(sig)
 
 

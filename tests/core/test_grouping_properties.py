@@ -45,7 +45,6 @@ def make_grouper(
             anonymization=AnonymizationConfig(enabled=False),
             policy=FirstResponsePolicy(),
             encoder=encoder,
-            estimator=estimator,
         )
 
     return Grouper(

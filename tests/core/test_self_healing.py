@@ -43,7 +43,7 @@ def warm_up(server, url: str, users=("u1", "u2", "u3")) -> str:
 
 def corrupt_base(cls) -> None:
     """Simulate storage bit-rot in the distributable base."""
-    body = bytearray(cls.distributable_base)
+    body = bytearray(cls.current.body)
     body[len(body) // 2] ^= 0xFF
     cls.current.body = bytes(body)
 
@@ -55,7 +55,7 @@ class TestIntegrity:
         url = site.url_for(site.all_pages()[0])
         warm_up(server, url)
         cls = server.class_of(url)
-        assert cls.integrity_ok(cls.version)
+        assert cls.servable(cls.version).intact()
 
     def test_corruption_detected(self, stack):
         site, _, server = stack
@@ -63,14 +63,14 @@ class TestIntegrity:
         warm_up(server, url)
         cls = server.class_of(url)
         corrupt_base(cls)
-        assert not cls.integrity_ok(cls.version)
+        assert not cls.servable(cls.version).intact()
 
     def test_unknown_version_fails_integrity(self, stack):
         site, _, server = stack
         url = site.url_for(site.all_pages()[0])
         warm_up(server, url)
         cls = server.class_of(url)
-        assert not cls.integrity_ok(cls.version + 7)
+        assert cls.servable(cls.version + 7) is None
 
 
 class TestQuarantine:
@@ -162,7 +162,33 @@ class TestRecovery:
         new_ref = base_ref(cls.class_id, cls.version)
         response = server.handle(req(url, "u14", accept=new_ref), now=13.0)
         assert response.is_delta
-        assert cls.integrity_ok(cls.version)
+        assert cls.servable(cls.version).intact()
+
+
+    def test_health_lists_exactly_the_flagged_classes(self, stack):
+        """The health probe reads each class's own ``quarantined`` flag:
+        the list follows two classes through quarantine and re-adoption."""
+        site, _, server = stack
+        pages = site.all_pages()
+        urls = [site.url_for(pages[0]), site.url_for(pages[-1])]
+        refs = [warm_up(server, url) for url in urls]
+        classes = [server.class_of(url) for url in urls]
+
+        def flagged():
+            return sorted(c.class_id for c in server.grouper.classes if c.quarantined)
+
+        assert server.health_snapshot()["quarantined"] == flagged() == []
+        for now, (url, ref, cls) in enumerate(zip(urls, refs, classes), 10):
+            if cls.quarantined:
+                continue  # both URLs were grouped into one class
+            corrupt_base(cls)
+            server.handle(req(url, "u9", accept=ref), now=float(now))
+            assert cls.quarantined
+            assert server.health_snapshot()["quarantined"] == flagged() != []
+        for now, url in enumerate(urls, 20):
+            server.handle(req(url, "u10"), now=float(now))
+            assert server.health_snapshot()["quarantined"] == flagged()
+        assert flagged() == []
 
 
 class TestDegradation:
@@ -171,7 +197,7 @@ class TestDegradation:
         url = site.url_for(site.all_pages()[0])
         warm_up(server, url)
         cls = server.class_of(url)
-        expected_body = cls.distributable_base
+        expected_body = cls.current.body
 
         async def down(request, now):
             raise OriginUnavailable("circuit open", breaker_state="open")

@@ -111,7 +111,7 @@ class TestCommitConflict:
         engine = make_engine()
         cls = warm(engine)
         old_version = cls.version
-        old_base = cls.distributable_base
+        old_base = cls.current.body
         old_ref = f"{cls.class_id}/{old_version}"
 
         race = _RacingEncoder(

@@ -10,7 +10,6 @@ from repro.core.config import (
 )
 from repro.core.delta_server import DeltaServer
 from repro.core.storage import StorageManager, class_storage_bytes
-from repro.delta.light import LightEstimator
 from repro.delta.vdelta import VdeltaEncoder
 from repro.http.messages import Request
 from repro.origin.server import OriginServer
@@ -26,7 +25,6 @@ def make_class(class_id: str, base: bytes | None, hits: int = 0) -> DocumentClas
         anonymization=AnonymizationConfig(enabled=False),
         policy=FirstResponsePolicy(),
         encoder=VdeltaEncoder(),
-        estimator=LightEstimator(),
     )
     if base is not None:
         cls.adopt_base(base, owner_user=None, now=0.0)
@@ -79,14 +77,14 @@ class TestEnforcement:
         hot = make_class("hot", b"h" * 900, hits=100)
         cold = make_class("cold", b"c" * 900, hits=1)
         manager.enforce([hot, cold])
-        assert cold.raw_base is None
-        assert hot.raw_base is not None
+        assert cold.raw is None
+        assert hot.raw is not None
 
     def test_protected_class_never_released(self):
         manager = StorageManager(budget_bytes=100)
         only = make_class("only", b"x" * 900, hits=0)
         manager.enforce([only], protect=only)
-        assert only.raw_base is not None
+        assert only.raw is not None
 
 
 class TestServerIntegration:
@@ -129,7 +127,7 @@ class TestServerIntegration:
         )
         assert response.status == 200
         cls = server.class_of(urls[0])
-        assert cls.raw_base is not None
+        assert cls.raw is not None
 
 
 class TestHistoryBudget:
@@ -172,7 +170,7 @@ class TestHistoryBudget:
         assert reclaimed > 0
         assert manager.stats.history_evictions > 0
         assert manager.stats.base_releases == 0
-        assert hot.raw_base is not None and cold.raw_base is not None
+        assert hot.raw is not None and cold.raw is not None
         # Coldest class's history went first; its latest version survives.
         assert set(store.class_state("cold").entries) == {5}
         store.close()
@@ -186,7 +184,7 @@ class TestHistoryBudget:
         manager = StorageManager(1000, store=store)
         manager.enforce([hot, cold], protect=hot)
         assert manager.stats.base_releases > 0
-        assert cold.raw_base is None
+        assert cold.raw is None
         assert store.class_state("cold").latest is None
         store.close()
         # A restart cannot resurrect the released payloads.

@@ -108,7 +108,7 @@ def test_chaos_soak():
             servable = [c for c in engine.grouper.classes if c.can_serve_deltas]
             assert servable, "warm-up produced no delta-servable class"
             victim = servable[0]
-            body = bytearray(victim.distributable_base)
+            body = bytearray(victim.current.body)
             body[len(body) // 2] ^= 0xFF
             victim.current.body = bytes(body)
 

@@ -83,10 +83,10 @@ class TestPrivacyEndToEnd:
         report = simulation.run(workload)
         assert report.verify_failures == 0
         for cls in simulation.server.grouper.classes:
-            for version in (cls.version, cls.previous_version):
-                if version is None:
+            for record in (cls.servable(cls.version), cls.previous):
+                if record is None:
                     continue
-                base = cls.base_for_version(version)
+                base = record.body
                 if base:
                     assert not find_card_numbers(base), (
                         f"private data leaked into {cls.class_id} v{version}"
@@ -126,7 +126,7 @@ class TestPrivacyEndToEnd:
         simulation = Simulation([site], config)
         simulation.run(workload)
         leaked = any(
-            find_card_numbers(cls.distributable_base or b"")
+            find_card_numbers(cls.current.body if cls.current else b"")
             for cls in simulation.server.grouper.classes
         )
         assert leaked
@@ -177,7 +177,7 @@ class TestContentDrift:
         fetch("u4", 3.0)
         assert server.stats.basic_rebases >= 1
         cls = server.class_of(url)
-        assert b"generation 1" in cls.raw_base
+        assert b"generation 1" in cls.raw.body
 
 
 class TestDeterminism:

@@ -151,7 +151,7 @@ def force_rebase(driver) -> None:
     """Give the URL's class a new base generation behind the client's back."""
     cls = driver.engine.grouper.class_for_url(driver.url)
     with cls.lock:
-        cls.adopt_base(cls.base_for_version(cls.version) + b"<!-- rebased -->", None, 0.0)
+        cls.adopt_base(cls.servable(cls.version).body + b"<!-- rebased -->", None, 0.0)
 
 
 async def first_visit_then_revisit(driver):

@@ -14,7 +14,6 @@ and the fresh engine keeps serving the rest of the sequence.
 import random
 import shutil
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -81,21 +80,24 @@ def assert_reopen_agrees(live: DeltaServer, reopened: DeltaServer) -> None:
         assert all(reopened.class_of(url) is back for url in cls.members)
         # Popularity is checkpointed once per stride of hits.
         assert back.stats.hits == cls.stats.hits // HIT_JOURNAL_STRIDE * HIT_JOURNAL_STRIDE
+        # A version name is never minted twice: the reopened counter starts
+        # at or past every ref the live engine published.
+        assert back.version >= cls.version
         if cls.can_serve_deltas:
             assert (
                 back.version,
-                back.distributable_base,
-                back.distributable_checksum,
-                back.base_signature,
+                back.current.body,
+                back.current.checksum,
+                back.match_base.signature,
             ) == (
                 cls.version,
-                cls.distributable_base,
-                cls.distributable_checksum,
-                cls.base_signature,
+                cls.current.body,
+                cls.current.checksum,
+                cls.match_base.signature,
             )
         else:
             # Released or quarantined: the store dropped the bytes with it.
-            assert back.raw_base is None and back.distributable_base is None
+            assert back.raw is None and back.current is None
 
 
 FAMILY = st.integers(0, FAMILIES - 1)
@@ -180,10 +182,9 @@ def test_a_sigkilled_engine_reopens_to_the_live_engine(tmp_path_factory, operati
     engine.close()
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 6(a)")
-def test_a_released_class_never_reuses_a_base_version_name_after_restart(tmp_path):
-    """A base ref names one byte string forever: a quarantine followed by a
-    restart must not let re-adoption mint the pre-restart ref for new bytes."""
+def quarantine_then_restart(tmp_path, *, compact: bool) -> tuple[tuple, tuple]:
+    """The ``(class_id, version)`` a class published before a quarantine and
+    a restart, and the one its re-adoption publishes after them."""
     origin = ScriptedOrigin()
     engine = open_engine(tmp_path / "state", origin)
     url = url_of(0, 0)
@@ -192,6 +193,8 @@ def test_a_released_class_never_reuses_a_base_version_name_after_restart(tmp_pat
     before = (cls.class_id, cls.version)
     with cls.lock:
         engine._quarantine(cls, cause="integrity")
+    if compact:
+        engine.store.compact()
     engine.close()
 
     restarted = open_engine(tmp_path / "state", origin)
@@ -199,4 +202,19 @@ def test_a_released_class_never_reuses_a_base_version_name_after_restart(tmp_pat
     readopted = restarted.class_of(url)
     after = (readopted.class_id, readopted.version)
     restarted.close()
+    return before, after
+
+
+def test_a_released_class_never_reuses_a_base_version_name_after_restart(tmp_path):
+    """A base ref names one byte string forever: a quarantine followed by a
+    restart must not let re-adoption mint the pre-restart ref for new bytes."""
+    before, after = quarantine_then_restart(tmp_path, compact=False)
     assert after != before
+    assert after[1] > before[1]
+
+
+def test_a_compacted_base_less_class_never_reuses_a_base_version_name(tmp_path):
+    """The same, with a compaction between the quarantine and the restart:
+    the rewritten journal keeps the class's version high-water mark."""
+    before, after = quarantine_then_restart(tmp_path, compact=True)
+    assert after[0] == before[0] and after[1] > before[1]

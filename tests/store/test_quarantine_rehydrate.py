@@ -40,7 +40,7 @@ def test_quarantined_then_readopted_base_rehydrates(tmp_path):
     origin.docs[URL] = BASE + b"<p>original</p>"
     assert engine.handle(Request(url=URL), now=0.0).status == 200
     cls = engine.class_of(URL)
-    original_base = cls.distributable_base
+    original_base = cls.current.body
 
     # Quarantine (suspect bytes), then heal: the next fetch re-adopts a
     # *changed* document as the new base.
@@ -48,9 +48,9 @@ def test_quarantined_then_readopted_base_rehydrates(tmp_path):
         engine._quarantine(cls, cause="integrity")
     origin.docs[URL] = BASE + b"<p>re-adopted after quarantine</p>"
     assert engine.handle(Request(url=URL), now=5.0).status == 200
-    readopted = cls.distributable_base
+    assert cls.current is not None
+    readopted = cls.current.body
     readopted_version = cls.version
-    assert readopted is not None
     assert readopted != original_base
     assert engine.stats.quarantine_recoveries >= 1
     engine.close()
@@ -62,7 +62,7 @@ def test_quarantined_then_readopted_base_rehydrates(tmp_path):
     restored = restarted.class_of(URL)
     assert restored is not None
     assert not restored.quarantined
-    assert restored.distributable_base == readopted
+    assert restored.current.body == readopted
     assert restored.version == readopted_version
 
     # And it is immediately delta-servable: a client holding the
@@ -89,5 +89,5 @@ def test_release_without_readoption_stays_baseless(tmp_path):
     restarted, _ = build_engine(tmp_path)
     restored = restarted.class_of(URL)
     assert restored is not None
-    assert restored.distributable_base is None
+    assert restored.current is None
     restarted.close()

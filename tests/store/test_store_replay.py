@@ -19,10 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.store import Store, inspect_state_dir, scan_journal, verify_state_dir
+from repro.store.store import Index
 
 BASE = b"<html>" + b"shared product page content " * 120 + b"</html>"
 SNAPSHOT_EVERY = 3
 GOLDEN = Path(__file__).with_name("golden_journal.json")
+#: the same script journaled by the store before release and quarantine
+#: records carried the class's version high-water mark
+GOLDEN_UNVERSIONED = Path(__file__).with_name("golden_journal_unversioned.json")
 
 
 def make_doc(class_id: str, version: int, rewrite: bool = False) -> bytes:
@@ -150,6 +154,11 @@ def test_reopened_copy_equals_the_live_index_after_every_step(
         reopened = open_store(replica)
         try:
             assert index_of(reopened) == live
+            # Spelled out although the index comparison covers it: a
+            # version name outlives the bytes it named, reopens included.
+            assert {s.class_id: s.high_version for s in reopened.classes()} == {
+                cid: state.high_version for cid, state in live[0].items()
+            }
             for cid, state in live[0].items():
                 for version in state.entries:
                     assert reopened.materialize(cid, version) == committed[cid, version]
@@ -193,9 +202,11 @@ def decoded_journal(state_dir: Path) -> list[dict]:
 def test_journal_format_matches_the_golden_written_before_the_refactor(tmp_path):
     """``golden_journal.json`` was generated by the store as it stood before
     the index got its single writer; the same script must still journal the
-    same records, live and through compaction.  The one permitted
-    difference: the re-root record of ``evict_history`` now carries the
-    class's sketch."""
+    same records, live and through compaction.  The permitted differences,
+    all additive: the re-root record of ``evict_history`` carries the
+    class's sketch, and the release and quarantine records carry the
+    class's version high-water mark (compaction re-emits it for a
+    base-less class as a ``base_released`` record)."""
     golden = json.loads(GOLDEN.read_text())
     reroot = golden["journal"][13]
     assert reroot["version"] == 5 and reroot["encoding"] == "full"
@@ -215,3 +226,21 @@ def test_journal_format_matches_the_golden_written_before_the_refactor(tmp_path)
             record.pop("length", None)
     assert journal == golden["journal"]
     assert compacted == golden["compacted"]
+
+
+def test_a_journal_without_version_keys_still_replays():
+    """Records written before release and quarantine carried ``version``
+    replay unchanged; the missing key reads as 0, so the high-water mark
+    is whatever the class's base records named.  The old compacted journal
+    kept no base record for the released ``cls3``: its name was lost, the
+    defect the key closes."""
+    golden = json.loads(GOLDEN_UNVERSIONED.read_text())
+    for records, expected in (
+        (golden["journal"], {"cls1": 5, "cls2": 3, "cls3": 1}),
+        (golden["compacted"], {"cls1": 5, "cls2": 3, "cls3": 0}),
+    ):
+        index = Index()
+        for record in records:
+            index.apply(record)
+        assert {cid: s.high_version for cid, s in index.classes.items()} == expected
+        assert (index.classes["cls2"].latest, index.classes["cls3"].latest) == (3, None)

@@ -45,7 +45,7 @@ def test_round_trip_byte_identical_bases_and_memberships(tmp_path):
     urls = [f"www.s.com/app/page-{i}" for i in range(8)]
     serve_corpus(engine, origin, urls)
     before = {
-        cls.class_id: (cls.version, cls.distributable_base, sorted(cls.members))
+        cls.class_id: (cls.version, cls.current and cls.current.body, sorted(cls.members))
         for cls in engine.grouper.classes
     }
     assert before, "corpus produced no classes"
@@ -54,7 +54,7 @@ def test_round_trip_byte_identical_bases_and_memberships(tmp_path):
     restarted = build_engine(tmp_path, origin)
     assert restarted.rehydrated_classes == len(before)
     after = {
-        cls.class_id: (cls.version, cls.distributable_base, sorted(cls.members))
+        cls.class_id: (cls.version, cls.current and cls.current.body, sorted(cls.members))
         for cls in restarted.grouper.classes
     }
     assert after == before  # versions, bytes, memberships — all identical
@@ -119,11 +119,11 @@ def test_quarantined_class_restarts_baseless(tmp_path):
     restarted = build_engine(tmp_path, origin)
     restored = restarted.class_of(url)
     assert restored is not None  # membership survives …
-    assert restored.distributable_base is None  # … the suspect bytes do not
+    assert restored.current is None  # … the suspect bytes do not
     # The class heals exactly like a live quarantine: next fetch re-adopts.
     response = restarted.handle(Request(url=url), now=10.0)
     assert response.status == 200
-    assert restored.distributable_base is not None
+    assert restored.current is not None
     restarted.close()
 
 
@@ -141,7 +141,7 @@ def test_version_history_materializes_after_restart(tmp_path):
         with cls.lock:
             cls.adopt_base(doc, owner_user=None, now=float(v))
             engine.store.commit_base(
-                cls.class_id, cls.version, doc, cls.distributable_checksum
+                cls.class_id, cls.version, doc, cls.current.checksum
             )
         history[cls.version] = doc
     engine.close()

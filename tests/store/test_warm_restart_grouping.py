@@ -88,7 +88,7 @@ def test_sketches_survive_kill_restart_byte_identically(tmp_path):
     for i, url in enumerate(urls):
         serve(engine, origin, url, family_doc(i))
     before = {
-        cls.class_id: cls.base_signature for cls in engine.grouper.classes
+        cls.class_id: cls.match_base.signature for cls in engine.grouper.classes
     }
     assert len(before) == 5
     assert all(sig is not None for sig in before.values())
@@ -96,7 +96,7 @@ def test_sketches_survive_kill_restart_byte_identically(tmp_path):
 
     restarted = build_engine(tmp_path, origin)
     after = {
-        cls.class_id: cls.base_signature for cls in restarted.grouper.classes
+        cls.class_id: cls.match_base.signature for cls in restarted.grouper.classes
     }
     assert after == before
     # The signatures came off disk, not from re-sketching the bases.
@@ -126,7 +126,7 @@ def test_restart_does_not_resketch_persisted_bases(tmp_path, monkeypatch):
     assert restarted.rehydrated_classes == 4
     assert calls == []  # every signature was restored from the journal
     assert all(
-        cls.base_signature is not None for cls in restarted.grouper.classes
+        cls.match_base.signature is not None for cls in restarted.grouper.classes
     )
     restarted.close()
 
@@ -159,7 +159,7 @@ def test_hits_and_sketch_survive_compaction(tmp_path):
     for i in range(HIT_JOURNAL_STRIDE + 2):
         serve(engine, origin, url, SHELL + b"<p>app</p>", now=float(i))
     cls = engine.class_of(url)
-    signature = cls.base_signature
+    signature = cls.match_base.signature
     store = engine.store
     store.compact()
     engine.close()

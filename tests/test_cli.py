@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import main
@@ -87,6 +89,57 @@ class TestCapacity:
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["nonsense"])
+
+
+class TestServeFleetOptions:
+    #: ``serve`` options a fleet worker must not receive from the user's
+    #: command line: the supervisor owns them (it sets the listen address,
+    #: the per-worker state directory and the hidden fleet-wiring flags
+    #: itself) or refuses them.
+    SUPERVISOR_OWNED = {
+        "--host", "--port", "--workers", "--admin-port", "--control-file",
+        "--state-dir", "--max-requests", "--fleet-worker-id", "--fleet-size",
+        "--fleet-internal-port", "--fleet-peers", "--fleet-listen-fd",
+        "--reuse-port",
+    }
+
+    def test_workers_refuse_max_requests_before_spawning(self, tmp_path, capsys):
+        control = tmp_path / "fleet.json"
+        code = main([
+            "serve", "--workers", "2", "--port", "0", "--max-requests", "10",
+            "--control-file", str(control),
+        ])
+        assert code == 2
+        assert "--max-requests" in capsys.readouterr().err
+        assert not control.exists()
+
+    def test_every_serve_option_is_forwarded_or_owned_by_the_supervisor(self):
+        """A new ``serve`` flag fails here until it is either forwarded to
+        fleet workers or listed as the supervisor's."""
+        from repro.cli import _fleet_worker_passthrough, build_parser
+
+        parser = build_parser()
+        (subparsers,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        serve = subparsers.choices["serve"]
+        options = {
+            flag
+            for action in serve._actions
+            if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings
+        }
+        # Every conditionally forwarded option set, so each one shows.
+        args = parser.parse_args([
+            "serve", "--workers", "2", "--fault-plan", "error:rate=0.1",
+            "--snapshot-every", "4", "--metrics-interval", "1",
+        ])
+        forwarded = {
+            flag for flag in _fleet_worker_passthrough(args) if flag.startswith("--")
+        }
+        assert forwarded.isdisjoint(self.SUPERVISOR_OWNED)
+        assert options == forwarded | self.SUPERVISOR_OWNED
 
 
 class TestServeAndLoadgen:
