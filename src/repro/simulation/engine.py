@@ -12,24 +12,29 @@ bandwidth nobody wants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.client.browser import DeltaClient, DocumentUnavailable
 from repro.core.config import DeltaServerConfig
 from repro.core.delta_server import DeltaServer
 from repro.http.cookies import CookieJar
-from repro.http.messages import Request
+from repro.http.messages import Request, Response
 from repro.metrics.collector import BandwidthReport
 from repro.network.latency import LatencyTracker
-from repro.network.link import MODEM_56K, LinkSpec
+from repro.network.link import MODEM_56K
 from repro.origin.server import OriginServer
 from repro.origin.site import SyntheticSite
 from repro.proxy.proxy import ProxyCache
+from repro.url.parts import split_server
 from repro.url.rules import RuleBook
 from repro.workload.generator import GeneratedWorkload
 from repro.workload.trace import Trace
 
 #: the simulated proxy's cache capacity
 PROXY_CAPACITY_BYTES = 256 * 1024 * 1024
+
+#: called with every request the delta-server answers and its response
+Observer = Callable[[Request, Response], None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,7 +43,6 @@ class SimulationConfig:
 
     delta: DeltaServerConfig = field(default_factory=DeltaServerConfig)
     proxy_enabled: bool = True
-    client_link: LinkSpec = MODEM_56K
     #: verify every reconstructed document against a direct origin render
     verify: bool = True
 
@@ -83,13 +87,20 @@ class SimulationReport:
 
 
 class Simulation:
-    """One replayable instance of the Fig. 2 architecture."""
+    """One replayable instance of the Fig. 2 architecture.
+
+    ``observer``, when given, sees every response the delta-server writes,
+    on the engine side of the proxy: a base-file the proxy answers from its
+    cache never reaches it.
+    """
 
     def __init__(
         self,
         sites: list[SyntheticSite],
         config: SimulationConfig | None = None,
         rulebook: RuleBook | None = None,
+        *,
+        observer: Observer | None = None,
     ) -> None:
         self.config = config or SimulationConfig()
         self.origin = OriginServer(sites)
@@ -98,14 +109,21 @@ class Simulation:
             for site in sites:
                 rulebook.add_rule(site.spec.name, site.hint_rule_pattern())
         self.server = DeltaServer(self.origin.fetch, self.config.delta, rulebook)
+        self._observer = observer
         self.proxy = (
-            ProxyCache(self.server.handle, PROXY_CAPACITY_BYTES)
+            ProxyCache(self._engine, PROXY_CAPACITY_BYTES)
             if self.config.proxy_enabled
             else None
         )
-        self._upstream = self.proxy.handle if self.proxy else self.server.handle
+        self._upstream = self.proxy.handle if self.proxy else self._engine
         self._clients: dict[str, DeltaClient] = {}
         self._sites = {site.spec.name: site for site in sites}
+
+    def _engine(self, request: Request, now: float) -> Response:
+        response = self.server.handle(request, now)
+        if self._observer is not None:
+            self._observer(request, response)
+        return response
 
     def client_for(self, user: str) -> DeltaClient:
         """The browser instance of trace user ``user`` (created on demand)."""
@@ -127,8 +145,8 @@ class Simulation:
 
         report = SimulationReport(
             bandwidth=BandwidthReport(name=trace.name),
-            latency_direct=LatencyTracker(self.config.client_link, seed=3),
-            latency_delta=LatencyTracker(self.config.client_link, seed=4),
+            latency_direct=LatencyTracker(MODEM_56K, seed=3),
+            latency_delta=LatencyTracker(MODEM_56K, seed=4),
         )
         for record in trace:
             client = self.client_for(record.user)
@@ -199,10 +217,7 @@ class Simulation:
         total = 0
         for user, client in self._clients.items():
             for url in client.stats.urls_fetched:
-                site = self._sites.get(url.split("/")[0])
-                if site is None:
+                if split_server(url)[0] not in self._sites:
                     continue
-                total += len(
-                    self._direct_render(user, url, 0.0)
-                )
+                total += len(self._direct_render(user, url, 0.0))
         return total

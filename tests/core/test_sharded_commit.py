@@ -9,11 +9,6 @@ retrying against the fresh state or falling back to a full response, but
 never serving a delta against a retired base version.
 """
 
-import contextlib
-import threading
-
-import pytest
-
 from repro.core.config import AnonymizationConfig, DeltaServerConfig
 from repro.delta.apply import apply_delta
 from repro.delta.compress import decompress
@@ -24,9 +19,6 @@ from repro.http.messages import (
     Request,
 )
 from repro.core.delta_server import COMMIT_RETRIES, DeltaServer
-from repro.origin.server import OriginServer
-from repro.origin.site import SiteSpec, SyntheticSite
-from repro.url.rules import RuleBook
 
 URL = "www.commit.example/page"
 
@@ -206,52 +198,3 @@ class TestUrlMap:
         assert engine.grouper.class_for_url(URL) is cls
         assert engine.class_of("www.commit.example/other-page") is None
 
-
-class TestSerializedParity:
-    def test_modes_produce_identical_bytes_single_threaded(self):
-        """Same trace, single thread: the engine behind one caller-side lock
-        (the paper's single-CPU model) and the engine as it is must emit
-        byte-identical responses (delta payloads included)."""
-        site = SyntheticSite(SiteSpec(name="www.par.example", products_per_category=3))
-        urls = [site.url_for(page) for page in site.all_pages()[:5]]
-        rulebook = RuleBook()
-        rulebook.add_rule(site.spec.name, site.hint_rule_pattern())
-
-        def run(mode: str):
-            origin = OriginServer(
-                [SyntheticSite(SiteSpec(name="www.par.example", products_per_category=3))]
-            )
-            config = DeltaServerConfig(
-                anonymization=AnonymizationConfig(enabled=True, documents=2, min_count=1),
-            )
-            engine = DeltaServer(origin.fetch, config, rulebook)
-            lock = (
-                threading.Lock() if mode == "serialized" else contextlib.nullcontext()
-            )
-            refs: dict[str, str] = {}
-            out = []
-            for i in range(60):
-                url = urls[i % len(urls)]
-                request = Request(url=url, cookies={"uid": f"u{i % 5}"})
-                if url in refs:
-                    request.headers.set(HEADER_ACCEPT_DELTA, refs[url])
-                with lock:
-                    response = engine.handle(request, now=float(i))
-                ref = response.base_file_ref
-                if ref is not None:
-                    refs[url] = ref
-                out.append(
-                    (
-                        response.status,
-                        response.body,
-                        response.headers.get(HEADER_DELTA),
-                        response.headers.get(HEADER_DELTA_BASE),
-                    )
-                )
-            return out, engine.stats
-
-        serialized_out, serialized_stats = run("serialized")
-        sharded_out, sharded_stats = run("sharded")
-        assert serialized_out == sharded_out
-        assert serialized_stats.savings == pytest.approx(sharded_stats.savings)
-        assert serialized_stats.deltas_served == sharded_stats.deltas_served

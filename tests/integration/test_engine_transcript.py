@@ -2,17 +2,19 @@
 
 Replays the end-to-end benchmark's site and trace shape (``www.shop.example``,
 5 products per category, anonymization N=3/M=1, 24 users, revisit bias 0.6)
-through :meth:`DeltaServer.handle` on one thread and a simulated clock,
-once with steady content and once with a new content epoch per request.
-A client model holds base-files per population, asks for deltas against the
-ref it holds and fetches every advertised base it lacks — so the transcript
+through :class:`~repro.simulation.Simulation` on one thread and a simulated
+clock, once with steady content and once with a new content epoch per
+request.  Per-user browsers behind one proxy-cache ask for deltas against the
+ref they hold and fetch every advertised base they lack, so the transcript
 covers adoption, anonymization, promotion, rebases, previous-generation
 deltas and base-file distribution.
 
-Every response is pinned as ``[kind, status, X-Delta, X-Delta-Base, length,
-adler32]`` in ``engine_transcript.json``, and every reconstructed document is
-checked against an independent origin render.  A change that means to alter
-the wire regenerates the file and commits the diff as its claim::
+Every response the engine writes (the simulation's observer, on the engine
+side of the proxy) is pinned as ``[kind, status, X-Delta, X-Delta-Base,
+length, adler32]`` in ``engine_transcript.json``, and the simulation checks
+every reconstructed document against an independent origin render.  A change
+that means to alter the wire regenerates the file and commits the diff as its
+claim::
 
     REPRO_UPDATE_TRANSCRIPT=1 PYTHONPATH=src python -m pytest \\
         tests/integration/test_engine_transcript.py
@@ -27,21 +29,11 @@ import pytest
 
 from repro.core.config import AnonymizationConfig, DeltaServerConfig
 from repro.core.delta_server import DeltaServer
-from repro.delta import apply_delta, decompress
-from repro.http.messages import (
-    HEADER_ACCEPT_DELTA,
-    HEADER_DELTA,
-    HEADER_DELTA_BASE,
-    Request,
-    Response,
-    parse_base_ref,
-)
-from repro.origin.server import OriginServer
+from repro.http.messages import HEADER_DELTA, HEADER_DELTA_BASE, Request, Response
 from repro.origin.site import SiteSpec, SyntheticSite
-from repro.url.parts import split_server
-from repro.url.rules import RuleBook
+from repro.simulation import Simulation, SimulationConfig
 from repro.workload.generator import WorkloadSpec, generate_workload
-from repro.workload.trace import TraceRecord
+from repro.workload.trace import Trace, TraceRecord
 
 GOLDEN = Path(__file__).with_name("engine_transcript.json")
 UPDATE = os.environ.get("REPRO_UPDATE_TRANSCRIPT") == "1"
@@ -62,21 +54,8 @@ def replay(epoch_seconds: float) -> list[list]:
             epoch_seconds=epoch_seconds,
         )
     )
-    origin = OriginServer([site])
-    twin = OriginServer([site])
-    rulebook = RuleBook()
-    rulebook.add_rule(site.spec.name, site.hint_rule_pattern())
-    engine = DeltaServer(
-        origin.fetch,
-        DeltaServerConfig(
-            anonymization=AnonymizationConfig(enabled=True, documents=3, min_count=1)
-        ),
-        rulebook,
-    )
     sweep = [
-        TraceRecord(0.0, user, site.url_for(page))
-        for page in site.all_pages()
-        for user in WARM_USERS
+        (user, site.url_for(page)) for page in site.all_pages() for user in WARM_USERS
     ]
     trace = generate_workload(
         [site],
@@ -85,14 +64,13 @@ def replay(epoch_seconds: float) -> list[list]:
             revisit_bias=0.6, seed=100,
         ),
     ).trace.records
-
-    base_cache: dict[str, bytes] = {}
-    held: dict[tuple[str, str], str] = {}
+    visits = sweep + [(rec.user, rec.url) for rec in trace]
     transcript: list[list] = []
 
-    def record(kind: str, response: Response) -> None:
+    def observe(request: Request, response: Response) -> None:
+        is_base = DeltaServer.parse_base_file_url(request.url) is not None
         transcript.append([
-            kind,
+            "base" if is_base else "doc",
             response.status,
             response.headers.get(HEADER_DELTA),
             response.headers.get(HEADER_DELTA_BASE),
@@ -100,36 +78,22 @@ def replay(epoch_seconds: float) -> list[list]:
             zlib.adler32(response.body),
         ])
 
-    for i, rec in enumerate(sweep + trace):
-        now = i * TICK
-        request = Request(url=rec.url, cookies={"uid": rec.user}, client_id=rec.user)
-        ref = held.get((rec.user, rec.url))
-        if ref is not None:
-            request.headers.set(HEADER_ACCEPT_DELTA, ref)
-        response = engine.handle(request, now)
-        record("doc", response)
-        assert response.status == 200
-        if response.is_delta:
-            document = apply_delta(
-                decompress(response.body), base_cache[response.delta_base_ref]
+    simulation = Simulation(
+        [site],
+        SimulationConfig(
+            delta=DeltaServerConfig(
+                anonymization=AnonymizationConfig(enabled=True, documents=3, min_count=1)
             )
-        else:
-            document = response.body
-        expected = twin.handle(
-            Request(url=rec.url, cookies={"uid": rec.user}, client_id=rec.user), now
-        ).body
-        assert document == expected, f"record {i} reconstructed wrong"
-        advertised = response.base_file_ref
-        if advertised is None:
-            continue
-        held[(rec.user, rec.url)] = advertised
-        if advertised not in base_cache:
-            class_id, version = parse_base_ref(advertised)
-            url = DeltaServer.base_file_url(split_server(rec.url)[0], class_id, version)
-            base = engine.handle(Request(url=url, client_id=rec.user), now)
-            record("base", base)
-            assert base.status == 200
-            base_cache[advertised] = base.body
+        ),
+        observer=observe,
+    )
+    report = simulation.run(
+        Trace(
+            "transcript",
+            [TraceRecord(i * TICK, user, url) for i, (user, url) in enumerate(visits)],
+        )
+    )
+    assert report.verify_failures == 0
     return transcript
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import AnonymizationConfig, DeltaServerConfig
+from repro.core.delta_server import DeltaServer
 from repro.origin.site import SiteSpec, SyntheticSite
 from repro.simulation.engine import Simulation, SimulationConfig
 from repro.workload.generator import WorkloadSpec, generate_workload
@@ -101,6 +102,37 @@ class TestProxy:
         report = Simulation([site], config).run(workload)
         assert report.verify_failures == 0
         assert report.proxy_hit_rate == 0.0
+
+
+class TestObserver:
+    @pytest.mark.parametrize("proxy_enabled", [True, False])
+    def test_observer_sees_every_engine_response(self, site, proxy_enabled):
+        workload = generate_workload(
+            [site],
+            WorkloadSpec(name="observed", requests=120, users=6, duration=600.0),
+        )
+        observed = {"doc": 0, "base": 0}
+
+        def observe(request, response):
+            is_base = DeltaServer.parse_base_file_url(request.url) is not None
+            observed["base" if is_base else "doc"] += 1
+
+        config = SimulationConfig(
+            proxy_enabled=proxy_enabled,
+            delta=DeltaServerConfig(
+                anonymization=AnonymizationConfig(documents=2, min_count=1)
+            ),
+        )
+        simulation = Simulation([site], config, observer=observe)
+        report = simulation.run(workload)
+        assert report.verify_failures == 0
+        assert observed["doc"] == report.requests
+        assert observed["base"] == simulation.server.stats.base_files_served > 0
+        if proxy_enabled:
+            # the observer sits behind the proxy: cached base-files never
+            # reach it
+            upstream = simulation.proxy.stats.upstream_requests
+            assert observed["base"] == upstream - observed["doc"]
 
 
 class TestClients:

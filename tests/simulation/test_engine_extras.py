@@ -7,6 +7,7 @@ from repro.origin.site import SiteSpec, SyntheticSite
 from repro.simulation.engine import Simulation, SimulationConfig
 from repro.url.rules import RuleBook
 from repro.workload.generator import WorkloadSpec, generate_workload
+from repro.workload.trace import Trace, TraceRecord
 
 
 def fast_config(**kwargs) -> SimulationConfig:
@@ -97,3 +98,20 @@ class TestReportMath:
     def test_total_sent_includes_base_upstream(self, report):
         bw = report.bandwidth
         assert bw.total_sent_bytes == bw.sent_bytes + bw.base_file_upstream_bytes
+
+
+def test_scheme_prefixed_urls_count_toward_classless_storage(site):
+    """Trace URLs may carry ``http://``; the classless baseline still
+    counts their renders instead of skipping every one."""
+    trace = generate_workload(
+        [site], WorkloadSpec(name="scheme", requests=60, users=4, duration=300.0)
+    ).trace
+    prefixed = Trace(
+        "scheme",
+        [TraceRecord(r.timestamp, r.user, "http://" + r.url) for r in trace],
+    )
+    bare = Simulation([site], fast_config()).run(trace)
+    report = Simulation([site], fast_config()).run(prefixed)
+    assert report.verify_failures == 0
+    assert report.classless_storage_bytes == bare.classless_storage_bytes > 0
+    assert report.storage_reduction_factor == bare.storage_reduction_factor

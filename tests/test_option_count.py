@@ -82,7 +82,7 @@ def test_option_names_are_pinned():
 
 
 def test_option_count_is_pinned():
-    assert EXPECTED == 141
+    assert EXPECTED == 140
     assert len(option_names()) == EXPECTED
 
 
