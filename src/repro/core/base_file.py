@@ -21,8 +21,10 @@ delta-server runs them with the cheap light estimator.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
+from collections import OrderedDict
 from typing import Callable, Protocol, Sequence
 
 from repro.core.config import BaseFileConfig, EvictionVariant
@@ -83,18 +85,30 @@ class FirstResponsePolicy:
 class _Candidate:
     """A stored document plus its deltas to the measurement set."""
 
-    __slots__ = ("doc", "deltas", "id", "owner")
+    __slots__ = ("doc", "deltas", "id", "key", "owner")
 
-    def __init__(self, doc: bytes, owner: str | None = None) -> None:
+    def __init__(
+        self, doc: bytes, owner: str | None = None, key: bytes | None = None
+    ) -> None:
         self.doc = doc
         self.id = next(_candidate_ids)
         self.owner = owner
+        # content digest: byte-identical documents share one key, so a size
+        # measured for one (base, target) content pair serves every copy
+        if key is None:
+            key = hashlib.blake2b(doc, digest_size=16).digest()
+        self.key = key
         # delta sizes keyed by the *other* document's candidate id
         self.deltas: dict[int, int] = {}
 
-    def utility(self) -> int:
-        """Sum of deltas: lower is a better base-file (paper's local utility)."""
-        return sum(self.deltas.values())
+    def utility(self) -> float:
+        """Mean delta to the documents measured against: lower is a better
+        base-file (the paper's local utility).  A mean, not a sum, so
+        candidates measured against different numbers of documents
+        (``TWO_SET``) rank fairly; 0 when nothing was measured yet."""
+        if not self.deltas:
+            return 0.0
+        return sum(self.deltas.values()) / len(self.deltas)
 
 
 class RandomizedPolicy:
@@ -102,7 +116,8 @@ class RandomizedPolicy:
 
     1. Sample each request with probability ``p`` and store the document.
     2. Use as base-file the stored document minimizing the sum of deltas to
-       the other stored documents.
+       the other stored documents (ranked by their mean, which orders
+       alike while every candidate has as many deltas).
     3. Keep at most ``K``; on overflow evict the document maximizing the
        sum of deltas — or one of the footnote-3 variants:
 
@@ -112,6 +127,11 @@ class RandomizedPolicy:
        * ``TWO_SET``: keep a second, independent set of ``K`` random
          samples and measure candidates against *it*, so the measurement
          set cannot collapse onto the candidate set.
+
+    Every size goes through :meth:`_measure`, which remembers it per
+    (base, target) content pair: admission and the rebase hysteresis keep
+    re-measuring the same few documents against each other, and
+    ``delta_size`` is a pure function of its two inputs.
     """
 
     name = "randomized"
@@ -128,6 +148,12 @@ class RandomizedPolicy:
         self._candidates: list[_Candidate] = []
         self._references: list[_Candidate] = []  # TWO_SET only
         self._evictions = 0
+        # (base key, target key) -> size, least recently used first.  The cap
+        # is four times the K² pairs a full store measures, so the pairs of
+        # residents that left recently (and the rebase probes) still hit;
+        # callers hold the class lock, so the table needs no lock of its own.
+        self._sizes: OrderedDict[tuple[bytes, bytes], int] = OrderedDict()
+        self._sizes_cap = 4 * config.capacity**2
 
     # -- policy interface --------------------------------------------------
 
@@ -159,15 +185,15 @@ class RandomizedPolicy:
         set (a stored candidate must not get a free zero-delta against
         itself).  ``None`` when there is nothing to measure against.
         """
-        references = self._measurement_set()
+        probe = _Candidate(document)
         skipped_self = False
         total = 0
         count = 0
-        for ref in references:
-            if not skipped_self and ref.doc == document:
+        for ref in self._measurement_set():
+            if not skipped_self and ref.key == probe.key:
                 skipped_self = True
                 continue
-            total += self._delta_size(document, ref.doc)
+            total += self._measure(probe, ref)
             count += 1
         if count == 0:
             return None
@@ -185,28 +211,40 @@ class RandomizedPolicy:
             return self._references
         return self._candidates
 
+    def _measure(self, base: _Candidate, target: _Candidate) -> int:
+        """``delta_size(base.doc, target.doc)``, computed once per content pair
+        while the pair stays among the table's most recent ``4·K²``."""
+        pair = (base.key, target.key)
+        size = self._sizes.get(pair)
+        if size is not None:
+            self._sizes.move_to_end(pair)
+            return size
+        size = self._delta_size(base.doc, target.doc)
+        self._sizes[pair] = size
+        if len(self._sizes) > self._sizes_cap:
+            self._sizes.popitem(last=False)
+        return size
+
     def _admit(self, candidate: _Candidate) -> None:
         if self._config.eviction is EvictionVariant.TWO_SET:
             self._admit_two_set(candidate)
             return
         # Measure the newcomer against current residents and vice versa.
         for other in self._candidates:
-            candidate.deltas[other.id] = self._delta_size(candidate.doc, other.doc)
-            other.deltas[candidate.id] = self._delta_size(other.doc, candidate.doc)
+            candidate.deltas[other.id] = self._measure(candidate, other)
+            other.deltas[candidate.id] = self._measure(other, candidate)
         self._candidates.append(candidate)
         if len(self._candidates) > self._config.capacity:
             self._evict()
 
     def _admit_two_set(self, candidate: _Candidate) -> None:
-        reference = _Candidate(candidate.doc)
+        reference = _Candidate(candidate.doc, key=candidate.key)
         # New candidate measured against the reference set.
         for ref in self._references:
-            candidate.deltas[ref.id] = self._delta_size(candidate.doc, ref.doc)
+            candidate.deltas[ref.id] = self._measure(candidate, ref)
         # Existing candidates gain a measurement against the new reference.
         for existing in self._candidates:
-            existing.deltas[reference.id] = self._delta_size(
-                existing.doc, reference.doc
-            )
+            existing.deltas[reference.id] = self._measure(existing, reference)
         self._candidates.append(candidate)
         self._references.append(reference)
         if len(self._candidates) > self._config.capacity:

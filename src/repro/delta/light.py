@@ -38,9 +38,13 @@ class LightEstimator:
     index_cache_size:
         Light indexes are memoized per base-file (keyed by length +
         adler32), because the same documents are estimated against
-        repeatedly — every admitted base-file candidate, every class base.
-        Estimates tolerate the astronomically unlikely checksum collision;
-        the *full* encoder deliberately has no such cache.
+        repeatedly — grouping probes every class base.  Base-file admission
+        remembers each (base, target) size itself
+        (:meth:`RandomizedPolicy._measure
+        <repro.core.base_file.RandomizedPolicy._measure>`), so this memo
+        serves only its misses.  Estimates tolerate the astronomically
+        unlikely checksum collision; the *full* encoder deliberately has no
+        such cache.
 
     One estimator is shared by the whole sharded engine (every class, every
     shard), so the LRU bookkeeping is guarded by a lock.  The expensive

@@ -136,6 +136,74 @@ class TestRandomized:
         # best should come from the dense cluster, not the 160s
         assert len(policy.current()) <= 104
 
+    def test_two_set_ranks_identical_candidates_equally(self):
+        """A candidate is never measured against its own reference copy, so
+        one whose copy was evicted is measured against one reference more.
+        Utility is a mean, so that extra term does not count against it."""
+
+        def with_header(base: bytes, target: bytes) -> int:
+            return 10 + toy_delta(base, target)  # every delta pays a header
+
+        config = BaseFileConfig(
+            sample_probability=1.0, capacity=3, eviction=EvictionVariant.TWO_SET
+        )
+        policy = RandomizedPolicy(config, with_header, random.Random(1))
+        for _ in range(4):  # the fourth admission evicts one reference
+            policy.observe(bytes([65]) * 100)
+        assert sorted(len(c.deltas) for c in policy._candidates) == [2, 2, 3]
+        assert [c.utility() for c in policy._candidates] == [10.0, 10.0, 10.0]
+
+
+class TestMeasuredSizes:
+    """Every size goes through one per-policy table keyed by content."""
+
+    @staticmethod
+    def _counting(calls: list):
+        def delta_size(base: bytes, target: bytes) -> int:
+            calls.append((base, target))
+            return toy_delta(base, target)
+
+        return delta_size
+
+    @pytest.mark.parametrize("eviction", list(EvictionVariant), ids=lambda v: v.value)
+    def test_readmitting_identical_documents_measures_nothing(self, eviction):
+        calls: list = []
+        config = BaseFileConfig(
+            sample_probability=1.0, capacity=4, eviction=eviction,
+            random_evict_period=2,
+        )
+        policy = RandomizedPolicy(config, self._counting(calls), random.Random(3))
+        a, b = bytes([65]) * 100, bytes([66]) * 120
+        for doc in (a, a, b, b):  # fills the store, measuring all four pairs
+            policy.observe(doc)
+        assert len(policy.stored_documents) == 4
+        assert sorted(calls) == sorted([(a, a), (a, b), (b, a), (b, b)])
+        measured = len(calls)
+        for doc in (a, b, b, a, a, b, a, b):  # each one evicts a resident
+            policy.observe(doc)
+        assert policy.utility_of(a) is not None
+        assert len(calls) == measured
+
+    def test_rebase_probe_of_a_resident_reuses_its_sizes(self):
+        calls: list = []
+        config = BaseFileConfig(sample_probability=1.0, capacity=4)
+        policy = RandomizedPolicy(config, self._counting(calls), random.Random(1))
+        for doc in docs_around(100, [0, 2, 4]):
+            policy.observe(doc)
+        measured = len(calls)
+        # the challenger of a rebase check is the policy's own favourite
+        assert policy.utility_of(policy.current()) == 2.0
+        assert len(calls) == measured
+
+    def test_table_is_bounded_by_four_k_squared(self):
+        calls: list = []
+        config = BaseFileConfig(sample_probability=1.0, capacity=2)
+        policy = RandomizedPolicy(config, self._counting(calls), random.Random(1))
+        for length in range(10, 60):
+            policy.observe(bytes([65]) * length)
+            assert len(policy._sizes) <= 4 * 2**2
+        assert len(policy._sizes) == 16
+
 
 class TestOnlineOptimal:
     def test_tracks_running_medoid(self):

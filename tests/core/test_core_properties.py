@@ -1,13 +1,14 @@
 """Property-based tests on core invariants (hypothesis)."""
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.anonymize import AnonymizationState, Anonymizer
 from repro.core.base_file import RandomizedPolicy, offline_best
-from repro.core.config import AnonymizationConfig, BaseFileConfig
+from repro.core.config import AnonymizationConfig, BaseFileConfig, EvictionVariant
 from repro.delta import apply_delta, delta_size, make_delta
 
 
@@ -125,6 +126,62 @@ def test_randomized_policy_invariants(lengths, seed):
         assert len(policy.stored_documents) <= 4
         current = policy.current()
         assert current in policy.stored_documents
+
+
+#: a small alphabet, so admission sequences repeat content pairs (two
+#: lengths twice over, so a size cannot be told apart by length alone)
+ALPHABET = [b"A" * 40, b"B" * 40, b"A" * 54, b"AB" * 27, b"B" * 68]
+
+
+def header_toy(a: bytes, b: bytes) -> int:
+    """A pure, asymmetric stand-in for ``delta_size(base, target)``: a header,
+    the bytes the target adds, and the positions that differ."""
+    return 8 + max(len(b) - len(a), 0) + sum(x != y for x, y in zip(a, b))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    picks=st.lists(st.integers(0, len(ALPHABET) - 1), min_size=1, max_size=30),
+    capacity=st.integers(2, 4),
+    eviction=st.sampled_from(list(EvictionVariant)),
+    seed=st.integers(0, 99),
+)
+def test_stored_utility_equals_remeasured(picks, capacity, eviction, seed):
+    """Remembered sizes are the sizes: every stored delta and every
+    ``utility_of`` equals a fresh measurement, the size table stays within
+    ``4·K²``, and until it first fills no content pair is measured twice."""
+    calls: Counter = Counter()
+
+    def counting(a: bytes, b: bytes) -> int:
+        calls[a, b] += 1
+        return header_toy(a, b)
+
+    config = BaseFileConfig(
+        sample_probability=1.0, capacity=capacity, eviction=eviction,
+        random_evict_period=2,
+    )
+    policy = RandomizedPolicy(config, counting, random.Random(seed))
+    cap = 4 * capacity**2
+    for pick in picks:
+        policy.observe(ALPHABET[pick])
+        measured = policy._measurement_set()
+        by_id = {o.id: o for o in measured}
+        for c in policy._candidates:
+            assert set(c.deltas) <= set(by_id)
+            for other_id, size in c.deltas.items():
+                assert size == header_toy(c.doc, by_id[other_id].doc)
+        for doc in ALPHABET:
+            others = [o.doc for o in measured]
+            if doc in others:
+                others.remove(doc)  # one copy of itself is skipped
+            expected = (
+                sum(header_toy(doc, o) for o in others) / len(others)
+                if others else None
+            )
+            assert policy.utility_of(doc) == expected
+        assert len(policy._sizes) <= cap
+        if len(policy._sizes) < cap:  # nothing was ever evicted from it
+            assert max(calls.values(), default=0) <= 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -18,6 +18,12 @@ claim::
 
     REPRO_UPDATE_TRANSCRIPT=1 PYTHONPATH=src python -m pytest \\
         tests/integration/test_engine_transcript.py
+
+The same replays also count the engine's light scans
+(``LightEstimator.estimate_with_index``, grouping probes plus base-file
+admission and rebase checks).  The counts are exact on one thread, and
+``LIGHT_SCANS`` pins them as a ceiling: a change that measures more must say
+so by raising it.
 """
 
 import json
@@ -29,6 +35,7 @@ import pytest
 
 from repro.core.config import AnonymizationConfig, DeltaServerConfig
 from repro.core.delta_server import DeltaServer
+from repro.delta.light import LightEstimator
 from repro.http.messages import HEADER_DELTA, HEADER_DELTA_BASE, Request, Response
 from repro.origin.site import SiteSpec, SyntheticSite
 from repro.simulation import Simulation, SimulationConfig
@@ -44,6 +51,8 @@ TRACE_REQUESTS = 240  # + 60 sweep records = 300 per epoch
 #: simulated seconds between requests: 300 of them span five default rebase
 #: timeouts, so group-rebases and previous-generation deltas show up
 TICK = 30.0
+#: light scans per epoch's replay, at most
+LIGHT_SCANS = {"steady": 221, "churn": 350}
 
 
 def replay(epoch_seconds: float) -> list[list]:
@@ -97,8 +106,29 @@ def replay(epoch_seconds: float) -> list[list]:
     return transcript
 
 
-def test_engine_transcript_matches_golden():
-    transcripts = {name: replay(epoch) for name, epoch in EPOCHS.items()}
+@pytest.fixture(scope="module")
+def replays() -> dict[str, tuple[list[list], int]]:
+    """Each epoch's transcript and the light scans its replay ran."""
+    scans = 0
+    estimate = LightEstimator.estimate_with_index
+
+    def counting(self, index, target):
+        nonlocal scans
+        scans += 1
+        return estimate(self, index, target)
+
+    results = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LightEstimator, "estimate_with_index", counting)
+        for name, epoch in EPOCHS.items():
+            scans = 0
+            transcript = replay(epoch)
+            results[name] = (transcript, scans)
+    return results
+
+
+def test_engine_transcript_matches_golden(replays):
+    transcripts = {name: transcript for name, (transcript, _) in replays.items()}
     if UPDATE:
         lines = [
             f'  "{name}": [\n'
@@ -114,6 +144,13 @@ def test_engine_transcript_matches_golden():
         for i, (got, want) in enumerate(zip(entries, pinned)):
             assert got == want, f"{name} response {i}: {got} != {want}"
         assert len(entries) == len(pinned), name
+
+
+def test_light_scans_stay_at_floor(replays):
+    """Admission and rebase checks re-measure no (base, target) content pair
+    they still remember, so the scans stay at the pinned counts."""
+    for name, (_, scans) in replays.items():
+        assert scans <= LIGHT_SCANS[name], f"{name}: {scans} light scans"
 
 
 def test_transcript_exercises_the_lifecycle():
