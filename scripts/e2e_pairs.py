@@ -12,15 +12,21 @@ workload, both sides run
     python3 benchmarks/e2e/run.py --workload W --seed 100+i --seconds S --trace 0
 
 back to back — odd pairs parent first, even pairs change first — and the
-last stdout line of each run (the benchmark's result object) is kept.
-With ``--raw`` every finished run is appended to that file at once and a
-restarted script skips the runs already in it (ten pairs take an hour).
+last stdout line of each run (the benchmark's result object) is kept.  A
+run that prints no result — ``run.py`` exits 3 with a ``run.py: run
+abandoned: <reason>`` line on stderr when a validity guard trips — is kept
+too, as *abandoned*, with its exit code and that line (or the last stderr
+line of a crash).  With ``--raw`` every run is appended to that file at
+once and a restarted script skips the runs already in it (ten pairs take an
+hour), so an abandon is never quietly rerun.
 
 Writes ``benchmarks/results/e2e_pr<NN>_pairs.md`` (per workload and
 end-to-end metric of ``BENCHMARK.json``: each side's q1 / median / q3,
 the move of the median, the metric's bound, the parent's own spread, the
 same-seed wins, a verdict; then every run) and appends one line per
-workload to ``benchmarks/results/e2e_history.jsonl``.
+workload to ``benchmarks/results/e2e_history.jsonl``.  Abandoned runs are
+listed on their own, counted per side, and left out of every quartile and
+same-seed comparison.
 
 Verdicts follow the simplicity-review guide: ``ok`` when the change's
 median is no worse than the parent's by more than the bound;
@@ -44,6 +50,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RESULTS = ROOT / "benchmarks" / "results"
 FIRST_SEED = 100
+#: the stderr prefix of ``run.py``'s exit 3 (a validity guard tripped)
+ABANDONED = "run.py: run abandoned:"
 
 
 # -- the math ------------------------------------------------------------------
@@ -67,17 +75,23 @@ class Verdict:
     spread: float
     wins: int
     ties: int
+    #: same-seed pairs in which neither run was abandoned
+    pairs: int
     verdict: str  # "ok" | "unresolved" | "WORSE"
 
 
 def judge(
-    parent: list[float], change: list[float], better: str, bound: float
+    parent: list[float | None], change: list[float | None], better: str, bound: float
 ) -> Verdict:
     """Compare same-seed runs of one metric on one workload.
 
-    ``parent[i]`` and ``change[i]`` ran under the same seed.
+    ``parent[i]`` and ``change[i]`` ran under the same seed; ``None`` is an
+    abandoned run, which counts in no quartile and no same-seed pair.
     """
     sign = -1.0 if better == "higher" else 1.0  # sign * value: lower is better
+    paired = [(a, b) for a, b in zip(parent, change) if a is not None and b is not None]
+    parent = [v for v in parent if v is not None]
+    change = [v for v in change if v is not None]
     p, c = quartiles(parent), quartiles(change)
     move = (c[1] - p[1]) / p[1] if p[1] else 0.0
     spread = (p[2] - p[0]) / abs(p[1]) if p[1] else 0.0
@@ -91,8 +105,9 @@ def judge(
         change=c,
         move=move,
         spread=spread,
-        wins=sum(sign * b < sign * a for a, b in zip(parent, change)),
-        ties=sum(a == b for a, b in zip(parent, change)),
+        wins=sum(sign * b < sign * a for a, b in paired),
+        ties=sum(a == b for a, b in paired),
+        pairs=len(paired),
         verdict=verdict,
     )
 
@@ -100,13 +115,22 @@ def judge(
 # -- rendering -----------------------------------------------------------------
 
 
-def _values(runs: list[dict], workload: str, side: str, metric: str) -> list[float]:
-    """One metric's readings on one side, in pair order."""
-    picked = sorted(
+def _side(runs: list[dict], workload: str, side: str) -> list[dict]:
+    """One side's runs of one workload, in pair order."""
+    return sorted(
         (run for run in runs if run["workload"] == workload and run["side"] == side),
         key=lambda run: run["pair"],
     )
-    return [run["result"]["metrics"][metric]["value"] for run in picked]
+
+
+def _values(
+    runs: list[dict], workload: str, side: str, metric: str
+) -> list[float | None]:
+    """One metric's readings on one side, in pair order; ``None`` if abandoned."""
+    return [
+        run["result"]["metrics"][metric]["value"] if run["result"] else None
+        for run in _side(runs, workload, side)
+    ]
 
 
 def _workloads(runs: list[dict], manifest: dict) -> list[str]:
@@ -116,11 +140,20 @@ def _workloads(runs: list[dict], manifest: dict) -> list[str]:
 
 
 def _failed(runs: list[dict], workload: str, side: str) -> tuple[int, int]:
-    picked = [r for r in runs if r["workload"] == workload and r["side"] == side]
-    return (
-        sum(r["result"]["failed"] for r in picked),
-        sum(r["result"]["attempted"] for r in picked),
-    )
+    """Failed and attempted operations over one side's finished runs."""
+    done = [r["result"] for r in _side(runs, workload, side) if r["result"]]
+    return sum(r["failed"] for r in done), sum(r["attempted"] for r in done)
+
+
+def _abandoned(runs: list[dict], workload: str, side: str) -> tuple[int, int]:
+    """Abandoned runs and all runs on one side."""
+    picked = _side(runs, workload, side)
+    return sum(r["result"] is None for r in picked), len(picked)
+
+
+def _more(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Whether share ``b[0]/b[1]`` is larger than share ``a[0]/a[1]``."""
+    return b[0] * max(a[1], 1) > a[0] * max(b[1], 1)
 
 
 def table(runs: list[dict], manifest: dict) -> list[str]:
@@ -134,6 +167,14 @@ def table(runs: list[dict], manifest: dict) -> list[str]:
         for metric in manifest["end_to_end"]:
             parent = _values(runs, workload, "parent", metric["name"])
             change = _values(runs, workload, "change", metric["name"])
+            finished = [len(side) - side.count(None) for side in (parent, change)]
+            done = f"{finished[0]}/{finished[1]}"
+            if 0 in finished:
+                lines.append(
+                    f"| {workload} | {metric['name']} | | | | {metric['bound']:.0%} "
+                    f"| | | {done} | unresolved |"
+                )
+                continue
             v = judge(parent, change, metric["better"], metric["bound"])
             ties = f" ({v.ties} ties)" if v.ties else ""
             lines.append(
@@ -141,17 +182,16 @@ def table(runs: list[dict], manifest: dict) -> list[str]:
                 f"| {v.parent[0]:.3f} / {v.parent[1]:.3f} / {v.parent[2]:.3f} "
                 f"| {v.change[0]:.3f} / {v.change[1]:.3f} / {v.change[2]:.3f} "
                 f"| {v.move:+.1%} | {metric['bound']:.0%} | {v.spread:.1%} "
-                f"| {v.wins}/{len(parent)}{ties} | {len(parent)}/{len(change)} "
-                f"| {v.verdict} |"
+                f"| {v.wins}/{v.pairs}{ties} | {done} | {v.verdict} |"
             )
-        p_failed, p_all = _failed(runs, workload, "parent")
-        c_failed, c_all = _failed(runs, workload, "change")
         # A larger share of failed operations is a regression whatever
         # the metrics read.
-        worse = c_failed * max(p_all, 1) > p_failed * max(c_all, 1)
+        parent = _failed(runs, workload, "parent")
+        change = _failed(runs, workload, "change")
         lines.append(
-            f"| {workload} | failed/attempted | {p_failed}/{p_all} | {c_failed}/{c_all} "
-            f"| | | | | | {'WORSE' if worse else 'ok'} |"
+            f"| {workload} | failed/attempted | {parent[0]}/{parent[1]} "
+            f"| {change[0]}/{change[1]} "
+            f"| | | | | | {'WORSE' if _more(parent, change) else 'ok'} |"
         )
     return lines
 
@@ -164,13 +204,39 @@ def run_list(runs: list[dict]) -> list[str]:
     ]
     for run in runs:
         result = run["result"]
-        metrics = ", ".join(
-            f"{name} {entry['value']:.3f}" for name, entry in result["metrics"].items()
-        )
+        if result is None:
+            ops, metrics = "", f"abandoned: {run['abandoned']}"
+        else:
+            ops = f"{result['failed']}/{result['attempted']}"
+            metrics = ", ".join(
+                f"{name} {entry['value']:.3f}" for name, entry in result["metrics"].items()
+            )
         lines.append(
             f"| {run['pair']} | {run['workload']} | {run['side']} | {run['seed']} "
-            f"| {run['exit']} | {result['failed']}/{result['attempted']} | {metrics} |"
+            f"| {run['exit']} | {ops} | {metrics} |"
         )
+    return lines
+
+
+def abandoned_list(runs: list[dict], manifest: dict) -> list[str]:
+    """Abandoned/all runs per workload and side, then each abandoned run with
+    the reason it gave.  A larger share of abandons on the change side is a
+    regression whatever the metrics read."""
+    lines = ["| workload | parent | change | verdict |", "|---|---|---|---|"]
+    for workload in _workloads(runs, manifest):
+        parent = _abandoned(runs, workload, "parent")
+        change = _abandoned(runs, workload, "change")
+        lines.append(
+            f"| {workload} | {parent[0]}/{parent[1]} | {change[0]}/{change[1]} "
+            f"| {'WORSE' if _more(parent, change) else 'ok'} |"
+        )
+    lines.append("")
+    lines += [
+        f"- pair {run['pair']} {run['workload']} {run['side']} (seed {run['seed']}, "
+        f"exit {run['exit']}): {run['abandoned']}"
+        for run in runs
+        if run["result"] is None
+    ] or ["No run was abandoned."]
     return lines
 
 
@@ -180,7 +246,11 @@ def history_lines(runs: list[dict], manifest: dict, pr: int, commit: str) -> lis
     for workload in _workloads(runs, manifest):
         medians, iqr = {}, {}
         for metric in manifest["end_to_end"]:
-            q1, median, q3 = quartiles(_values(runs, workload, "change", metric["name"]))
+            values = _values(runs, workload, "change", metric["name"])
+            values = [v for v in values if v is not None]
+            if not values:
+                continue
+            q1, median, q3 = quartiles(values)
             medians[metric["name"]] = round(median, 4)
             iqr[metric["name"]] = round(q3 - q1, 4)
         lines.append(json.dumps({
@@ -203,11 +273,18 @@ def report(runs: list[dict], manifest: dict, pr: int, parent: str, seconds: floa
         " against parent median; *bound* = the metric's regression bound in"
         " `BENCHMARK.json`; *parent IQR/med* = the parent's own run-to-run"
         " spread; *change wins* = same-seed pairs in which the change read"
-        " better.  Verdict `ok`: the change's median is no worse than the"
-        " parent's by more than the bound; `unresolved`: the parent's spread is"
-        " wider than the bound and the sides overlap; `WORSE`: a regression.",
+        " better; *n* = finished parent/change runs.  Verdict `ok`: the change's"
+        " median is no worse than the parent's by more than the bound;"
+        " `unresolved`: the parent's spread is wider than the bound and the"
+        " sides overlap; `WORSE`: a regression.  An abandoned run (no result"
+        " printed) counts in no quartile and no pair; a larger share of them on"
+        " the change side is `WORSE`.",
         "",
         *table(runs, manifest),
+        "",
+        "## Abandoned runs",
+        "",
+        *abandoned_list(runs, manifest),
         "",
         "## Every run",
         "",
@@ -219,18 +296,30 @@ def report(runs: list[dict], manifest: dict, pr: int, parent: str, seconds: floa
 # -- running -------------------------------------------------------------------
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[int, dict]:
-    """One benchmark run in ``checkout``: exit code and its result object."""
+def abandon_reason(stderr: str) -> str:
+    """Why a run printed no result: ``run.py``'s abandon line, else the last
+    line it wrote to stderr."""
+    lines = stderr.strip().splitlines()
+    for line in reversed(lines):
+        if line.startswith(ABANDONED):
+            return line[len(ABANDONED):].strip()
+    return lines[-1].strip() if lines else "no output"
+
+
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float
+) -> tuple[int, dict | None, str | None]:
+    """One benchmark run in ``checkout``: exit code, its result object, and
+    the abandon reason when it printed no result."""
     done = subprocess.run(
         [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
     try:
-        return done.returncode, json.loads(done.stdout.strip().splitlines()[-1])
+        return done.returncode, json.loads(done.stdout.strip().splitlines()[-1]), None
     except (IndexError, ValueError):
-        sys.exit(f"e2e_pairs: {checkout}: {workload} seed {seed} printed no result "
-                 f"(exit {done.returncode}):\n{done.stderr[-2000:]}")
+        return done.returncode, None, abandon_reason(done.stderr)
 
 
 def git(*args: str) -> str:
@@ -271,14 +360,16 @@ def main() -> int:
                     if (pair, workload, side) in have:
                         continue
                     seed = FIRST_SEED + pair
-                    code, result = run_once(sides[side], workload, seed, args.seconds)
+                    code, result, reason = run_once(sides[side], workload, seed, args.seconds)
                     runs.append({"pair": pair, "workload": workload, "side": side,
-                                 "seed": seed, "exit": code, "result": result})
+                                 "seed": seed, "exit": code, "result": result,
+                                 "abandoned": reason})
                     if args.raw:
                         with open(args.raw, "a") as raw:
                             raw.write(json.dumps(runs[-1]) + "\n")
-                    print(f"pair {pair} {workload} {side}: exit {code}, "
-                          f"failed {result['failed']}/{result['attempted']}",
+                    outcome = (f"abandoned: {reason}" if result is None else
+                               f"failed {result['failed']}/{result['attempted']}")
+                    print(f"pair {pair} {workload} {side}: exit {code}, {outcome}",
                           file=sys.stderr, flush=True)
     out = RESULTS / f"e2e_pr{args.pr:02d}_pairs.md"
     out.write_text(report(runs, manifest, args.pr, parent_rev, args.seconds))
@@ -286,7 +377,8 @@ def main() -> int:
         for line in history_lines(runs, manifest, args.pr, commit):
             history.write(line + "\n")
     print(f"wrote {out.relative_to(ROOT)}")
-    bad = [run for run in runs if run["exit"] or run["result"]["failed"]]
+    bad = [run for run in runs if run["exit"] or run["result"] is None
+           or run["result"]["failed"]]
     return 1 if bad else 0
 
 

@@ -57,49 +57,66 @@ class ClassStats:
 
 
 class EncodeCache:
-    """LRU of finished deltas against one base-file, keyed by target checksum.
+    """LRU of finished deltas against one base-file, bounded by bytes.
 
     Popular classes see the same (base, document) pair repeatedly — every
     member URL rendering the same snapshot, every concurrent client holding
     the current base — and the encode+compress is by far the most expensive
-    stage of such a request.  One entry memoizes the finished artifact:
-    ``(wire_size, compressed_payload)``.
+    stage of such a request.  One entry memoizes the finished artifact,
+    ``(wire_size, compressed_payload)``, under the SHA-256 digest of the
+    document it reconstructs.
 
-    Safety: a hit can never serve a stale delta.  The cache hangs off one
-    :class:`Base` record, so the base bytes are fixed by construction; the
-    target checksum pins the document bytes.  Base bytes are also pinned
-    by the record's promotion-time integrity checksum (corruption
-    quarantines, which drops the record).
+    Safety: a hit can never serve another document's delta.  The cache
+    hangs off one :class:`Base` record, so the base bytes are fixed by
+    construction (and pinned by the record's promotion-time integrity
+    checksum: corruption quarantines, which drops the record); the key is a
+    collision-resistant digest of the document bytes.  A 32-bit checksum
+    would not do: two users' personalized pages can share an Adler-32, and
+    the client's own Adler-32 check would accept the other user's page.
+
+    Bound: the payloads held never sum past ``limit`` bytes, evicting least
+    recently used first, and a payload larger than ``limit`` is not kept.
+    :class:`Base` passes its body's length, so a record's deltas never
+    outweigh the record.
 
     The cache has its own lock so the engine's off-lock encode path can
     consult it without touching the class lock.
     """
 
-    __slots__ = ("capacity", "_entries", "_lock")
+    __slots__ = ("limit", "held", "_entries", "_lock")
 
-    def __init__(self, capacity: int = 8) -> None:
-        self.capacity = capacity
-        self._entries: OrderedDict[int, tuple[int, bytes]] = OrderedDict()
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        #: payload bytes currently held, at most ``limit``
+        self.held = 0
+        self._entries: OrderedDict[bytes, tuple[int, bytes]] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, target_checksum: int) -> tuple[int, bytes] | None:
-        """Cached ``(wire_size, payload)`` for the target, refreshing recency."""
+    def get(self, digest: bytes) -> tuple[int, bytes] | None:
+        """Cached ``(wire_size, payload)`` for the document, refreshing recency."""
         with self._lock:
-            entry = self._entries.get(target_checksum)
+            entry = self._entries.get(digest)
             if entry is not None:
-                self._entries.move_to_end(target_checksum)
+                self._entries.move_to_end(digest)
             return entry
 
-    def put(self, target_checksum: int, wire_size: int, payload: bytes) -> None:
+    def put(self, digest: bytes, wire_size: int, payload: bytes) -> None:
         with self._lock:
-            self._entries[target_checksum] = (wire_size, payload)
-            self._entries.move_to_end(target_checksum)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            replaced = self._entries.pop(digest, None)
+            if replaced is not None:
+                self.held -= len(replaced[1])
+            if len(payload) > self.limit:
+                return
+            self._entries[digest] = (wire_size, payload)
+            self.held += len(payload)
+            while self.held > self.limit:
+                _, (_, evicted) = self._entries.popitem(last=False)
+                self.held -= len(evicted)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self.held = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -113,7 +130,9 @@ class Base:
     distributable (a raw base awaiting anonymization has neither).  The
     differ indexes are built on first use; ``signature`` is the MinHash
     sketch the grouper registers for the record while it is the class's
-    match base (see :attr:`DocumentClass.match_base`).
+    match base (see :attr:`DocumentClass.match_base`).  ``deltas`` holds
+    finished deltas against the body, never more bytes of them than the
+    body itself.
     """
 
     __slots__ = ("body", "version", "checksum", "signature", "deltas", "_full", "_light")
@@ -125,7 +144,7 @@ class Base:
         self.version: int | None = None
         self.checksum: int | None = None
         self.signature = signature
-        self.deltas = EncodeCache()
+        self.deltas = EncodeCache(len(body))
         self._full: BaseIndex | None = None
         self._light: BaseIndex | None = None
 

@@ -82,6 +82,7 @@ the first request.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import threading
@@ -661,12 +662,14 @@ class DeltaServer:
         feeds wire bytes straight into a ``zlib`` compressor in ~64 KiB
         chunks, so the uncompressed wire image is never materialized; the
         finished artifact is memoized in the base record's
-        :class:`~repro.core.classes.EncodeCache` keyed by target checksum —
-        repeat requests for the same snapshot skip the whole encode.
+        :class:`~repro.core.classes.EncodeCache` under the document's
+        SHA-256 digest — repeat requests for the same snapshot skip the
+        whole encode.  The Adler-32 the wire carries is computed only on a
+        miss: a cached payload already holds it.
         """
         started = perf_counter()
-        doc_checksum = checksum(document)
-        cached = plan.base.deltas.get(doc_checksum)
+        digest = hashlib.sha256(document).digest()
+        cached = plan.base.deltas.get(digest)
         if cached is not None:
             self.metrics.inc(
                 "delta_encode_cache_hits_total",
@@ -695,7 +698,7 @@ class DeltaServer:
                 plan.index,
                 document,
                 sink,
-                doc_checksum,
+                checksum(document),
                 buffer=self._encode_buffer(),
             )
             entered = perf_counter()
@@ -712,7 +715,7 @@ class DeltaServer:
         total = perf_counter() - started
         timings["encode"] = timings.get("encode", 0.0) + (total - compress_seconds)
         timings["compress"] = timings.get("compress", 0.0) + compress_seconds
-        plan.base.deltas.put(doc_checksum, wire_size, payload)
+        plan.base.deltas.put(digest, wire_size, payload)
         return wire_size, payload
 
     def _commit_delta(

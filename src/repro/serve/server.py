@@ -267,9 +267,15 @@ class DeltaHTTPServer(ServerShell):
         lines = self.metrics.lines() + self.stats.prometheus_lines(self.clock())
         if self.engine is not None:
             grouper = self.engine.grouper
+            classes = grouper.classes
             lines += stats_lines(
                 self.engine.stats, "repro_engine_",
-                gauges={"classes": len(grouper.classes)},
+                gauges={
+                    "classes": len(classes),
+                    "encode_cache_bytes": sum(
+                        base.deltas.held for cls in classes for base in cls.bases()
+                    ),
+                },
             )
             lines += stats_lines(grouper.stats, "repro_grouping_")
             store = self.engine.store

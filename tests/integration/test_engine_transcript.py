@@ -23,7 +23,10 @@ The same replays also count the engine's light scans
 (``LightEstimator.estimate_with_index``, grouping probes plus base-file
 admission and rebase checks).  The counts are exact on one thread, and
 ``LIGHT_SCANS`` pins them as a ceiling: a change that measures more must say
-so by raising it.
+so by raising it.  A third replay, the end-to-end benchmark's steady trace
+(seed 7, 600 records) cycled three times at live request spacing, counts the
+full kernel encodes (``VdeltaEncoder.encode_stream_with_index``) each pass
+runs; ``STEADY_ENCODES`` pins those the same way.
 """
 
 import json
@@ -36,6 +39,7 @@ import pytest
 from repro.core.config import AnonymizationConfig, DeltaServerConfig
 from repro.core.delta_server import DeltaServer
 from repro.delta.light import LightEstimator
+from repro.delta.vdelta import VdeltaEncoder
 from repro.http.messages import HEADER_DELTA, HEADER_DELTA_BASE, Request, Response
 from repro.origin.site import SiteSpec, SyntheticSite
 from repro.simulation import Simulation, SimulationConfig
@@ -53,27 +57,67 @@ TRACE_REQUESTS = 240  # + 60 sweep records = 300 per epoch
 TICK = 30.0
 #: light scans per epoch's replay, at most
 LIGHT_SCANS = {"steady": 221, "churn": 350}
+#: full kernel encodes in each pass of the steady e2e trace (the first pass
+#: includes the warm sweep), at most.  The trace holds 162 distinct (user,
+#: URL) documents and the 127 + 35 below are each of them once: by the third
+#: pass every delta comes from its base record's encode cache.
+STEADY_ENCODES = [127, 35, 0]
+#: records in the e2e benchmark's generated trace
+STEADY_REQUESTS = 600
+#: simulated seconds between the steady trace's requests: live spacing, so
+#: no rebase timeout falls inside the replay
+STEADY_TICK = 0.005
 
 
-def replay(epoch_seconds: float) -> list[list]:
-    site = SyntheticSite(
+def make_site(epoch_seconds: float) -> SyntheticSite:
+    return SyntheticSite(
         SiteSpec(
             name="www.shop.example",
             products_per_category=5,
             epoch_seconds=epoch_seconds,
         )
     )
+
+
+def visits_of(site: SyntheticSite, requests: int, seed: int) -> list[tuple[str, str]]:
+    """The warm sweep (every page x ``WARM_USERS``), then a generated trace."""
     sweep = [
         (user, site.url_for(page)) for page in site.all_pages() for user in WARM_USERS
     ]
     trace = generate_workload(
         [site],
         WorkloadSpec(
-            name="transcript", requests=TRACE_REQUESTS, users=24,
-            revisit_bias=0.6, seed=100,
+            name="transcript", requests=requests, users=24,
+            revisit_bias=0.6, seed=seed,
         ),
     ).trace.records
-    visits = sweep + [(rec.user, rec.url) for rec in trace]
+    return sweep + [(rec.user, rec.url) for rec in trace]
+
+
+def simulate(site, visits, tick: float, observe) -> None:
+    """Replay ``visits`` ``tick`` simulated seconds apart, verifying every
+    reconstructed document."""
+    simulation = Simulation(
+        [site],
+        SimulationConfig(
+            delta=DeltaServerConfig(
+                anonymization=AnonymizationConfig(enabled=True, documents=3, min_count=1)
+            )
+        ),
+        observer=observe,
+    )
+    report = simulation.run(
+        Trace(
+            "transcript",
+            [TraceRecord(i * tick, user, url) for i, (user, url) in enumerate(visits)],
+        )
+    )
+    assert report.verify_failures == 0
+
+
+def replay(epoch_seconds: float) -> list[list]:
+    site = make_site(epoch_seconds)
+    visits = visits_of(site, TRACE_REQUESTS, seed=100)
     transcript: list[list] = []
 
     def observe(request: Request, response: Response) -> None:
@@ -87,22 +131,7 @@ def replay(epoch_seconds: float) -> list[list]:
             zlib.adler32(response.body),
         ])
 
-    simulation = Simulation(
-        [site],
-        SimulationConfig(
-            delta=DeltaServerConfig(
-                anonymization=AnonymizationConfig(enabled=True, documents=3, min_count=1)
-            )
-        ),
-        observer=observe,
-    )
-    report = simulation.run(
-        Trace(
-            "transcript",
-            [TraceRecord(i * TICK, user, url) for i, (user, url) in enumerate(visits)],
-        )
-    )
-    assert report.verify_failures == 0
+    simulate(site, visits, TICK, observe)
     return transcript
 
 
@@ -151,6 +180,38 @@ def test_light_scans_stay_at_floor(replays):
     they still remember, so the scans stay at the pinned counts."""
     for name, (_, scans) in replays.items():
         assert scans <= LIGHT_SCANS[name], f"{name}: {scans} light scans"
+
+
+def test_steady_encodes_stay_at_floor(monkeypatch):
+    """A steady document is encoded against its base once: its delta is
+    served from the base record's encode cache afterwards, so the last pass
+    over the trace runs no kernel encode at all."""
+    site = make_site(EPOCHS["steady"])
+    visits = visits_of(site, STEADY_REQUESTS, seed=7)
+    sweep, trace = visits[:-STEADY_REQUESTS], visits[-STEADY_REQUESTS:]
+    visits = sweep + trace * len(STEADY_ENCODES)
+    ends = {len(sweep) + len(trace) * (i + 1) for i in range(len(STEADY_ENCODES))}
+    encodes, documents, at_ends = 0, 0, []
+    encode = VdeltaEncoder.encode_stream_with_index
+
+    def counting(self, *args, **kwargs):
+        nonlocal encodes
+        encodes += 1
+        return encode(self, *args, **kwargs)
+
+    def observe(request: Request, response: Response) -> None:
+        nonlocal documents
+        if DeltaServer.parse_base_file_url(request.url) is None:
+            documents += 1
+            if documents in ends:
+                at_ends.append(encodes)
+
+    monkeypatch.setattr(VdeltaEncoder, "encode_stream_with_index", counting)
+    simulate(site, visits, STEADY_TICK, observe)
+    per_pass = [b - a for a, b in zip([0, *at_ends], at_ends)]
+    assert len(per_pass) == len(STEADY_ENCODES)
+    for i, (got, most) in enumerate(zip(per_pass, STEADY_ENCODES)):
+        assert got <= most, f"pass {i + 1}: {got} full encodes (per pass: {per_pass})"
 
 
 def test_transcript_exercises_the_lifecycle():

@@ -115,3 +115,68 @@ class TestReport:
         text = e2e_pairs.report(self.RUNS, MANIFEST, 16, "abc1234", 10.0)
         assert text.startswith("# PR 16 ")
         assert text.count("| 101 |") == 4 and text.count("| 102 |") == 2
+
+
+def abandoned(workload, side, pair, reason="open-loop generator ran 7.2 ms late (p90)"):
+    """A run that printed no result, as the script stores it."""
+    return {
+        "pair": pair, "workload": workload, "side": side, "seed": 100 + pair, "exit": 3,
+        "result": None, "abandoned": reason,
+    }
+
+
+class TestAbandonedRuns:
+    RUNS = [
+        canned("steady", "parent", 1, 100.0, 3.0),
+        canned("steady", "change", 1, 150.0, 2.0),
+        abandoned("steady", "change", 2),
+        canned("steady", "parent", 2, 200.0, 4.0),
+        canned("steady", "parent", 3, 120.0, 3.5),
+        canned("steady", "change", 3, 160.0, 2.5),
+    ]
+
+    def test_run_once_records_an_abandon_instead_of_exiting(self, tmp_path):
+        script = tmp_path / "benchmarks" / "e2e" / "run.py"
+        script.parent.mkdir(parents=True)
+        script.write_text(
+            "import sys\n"
+            "print('warming up', file=sys.stderr)\n"
+            "print('run.py: run abandoned: a child did not shut down cleanly',"
+            " file=sys.stderr)\n"
+            "sys.exit(3)\n"
+        )
+        code, result, reason = e2e_pairs.run_once(tmp_path, "steady", 101, 1.0)
+        assert (code, result, reason) == (3, None, "a child did not shut down cleanly")
+
+    def test_a_crash_keeps_its_last_stderr_line(self):
+        assert e2e_pairs.abandon_reason("Traceback ...\nKeyError: 'x'\n") == "KeyError: 'x'"
+        assert e2e_pairs.abandon_reason("") == "no output"
+
+    def test_medians_and_pairs_leave_abandoned_runs_out(self):
+        values = e2e_pairs._values(self.RUNS, "steady", "change", "req_per_s")
+        assert values == [150.0, None, 160.0]
+        v = e2e_pairs.judge(
+            e2e_pairs._values(self.RUNS, "steady", "parent", "req_per_s"),
+            values, "higher", 0.25,
+        )
+        assert v.change[1] == 155.0 and v.parent[1] == 120.0
+        assert (v.wins, v.pairs) == (2, 2)
+        row = e2e_pairs.table(self.RUNS, MANIFEST)[2]
+        assert "| 2/2 | 3/2 |" in row
+
+    def test_report_lists_and_counts_abandons_per_side(self):
+        text = e2e_pairs.report(self.RUNS, MANIFEST, 45, "abc1234", 10.0)
+        section = text.split("## Abandoned runs")[1].split("## Every run")[0]
+        assert "| steady | 0/3 | 1/3 | WORSE |" in section
+        assert (
+            "- pair 2 steady change (seed 102, exit 3): "
+            "open-loop generator ran 7.2 ms late (p90)"
+        ) in section
+        assert "| 2 | steady | change | 102 | 3 |  | abandoned: open-loop" in text
+        history = json.loads(e2e_pairs.history_lines(self.RUNS, MANIFEST, 45, "x")[0])
+        assert history["medians"]["req_per_s"] == 155.0
+
+    def test_no_abandon_says_so(self):
+        text = e2e_pairs.report(TestReport.RUNS, MANIFEST, 16, "abc1234", 10.0)
+        assert "| steady | 0/2 | 0/2 | ok |" in text
+        assert "No run was abandoned." in text
